@@ -25,7 +25,7 @@ from .padic_core import (
     s_p,
     sieve_primes,
 )
-from .padic_gamma import CapExceeded, GammaEvaluator, g1, g1_of_one
+from .padic_gamma import GammaEvaluator, g1, g1_of_one
 from .hyperseries import (
     LowerParameterPole,
     NonUnitDenominator,

@@ -23,10 +23,11 @@ from .congruences import (
     PASS,
     STATEMENTS,
     StatementChecker,
+    context_power,
     default_parameters,
     ReportRecord,
 )
-from .padic_core import DEFAULT_MAX_MODULUS, sieve_primes
+from .padic_core import DEFAULT_MAX_MODULUS, is_prime, sieve_primes
 
 ENV_PREFIX = "SUPERCONG_"
 
@@ -237,15 +238,22 @@ def _exit_code(records: list[ReportRecord], strict: bool) -> int:
     return EXIT_OK
 
 
+def check_modulus_bound(config: ScanConfig) -> None:
+    """Refuse a scan that would build a modulus p^k at or above the bound:
+    DEFAULT_MAX_MODULUS, or FORCED_MAX_MODULUS under --force."""
+    k = max((context_power(s, config.power) for s in config.statements), default=0)
+    bound = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
+    if config.hi**k < bound:
+        return
+    p = next((n for n in range(config.hi, max(config.lo, 5) - 1, -1) if is_prime(n)), None)
+    if p is not None and p**k >= bound:
+        lift = " set by --force" if config.force else f"; --force lifts it to {FORCED_MAX_MODULUS}"
+        raise ConfigError(f"modulus {p}^{k} = {p**k} is not below the bound {bound}{lift}")
+
+
 def run_scan(config: ScanConfig) -> int:
     """Execute the configured checks, write the report, print the summary."""
-    if config.statements and not config.force and config.hi > 1000:
-        powers = {config.power} if config.power else {STATEMENTS[s].power for s in config.statements}
-        if 3 in powers:
-            raise ConfigError(
-                "power-3 scans above p=1000 are refused without --force "
-                "(Gamma evaluation is cubic in p)"
-            )
+    check_modulus_bound(config)
     records = collect_records(config)
     if config.out == "-":
         write_records(records, config.fmt, sys.stdout)
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
                         help="conjecture failures also flip the exit status")
     parser.add_argument("--force", action="store_true", default=_env_flag("FORCE"),
-                        help="lift the runtime and modulus guardrails")
+                        help="lift the modulus bound from 2^31 to 2^63")
     parser.add_argument("--n-max", type=int, default=int(_env_default("N_MAX", 100)),
                         help="sweep bound for identity checks (default %(default)s)")
     return parser

@@ -182,6 +182,19 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
     return Residue(sign_second * scale % m * gg % m, ctx)
 
 
+def comparison_power(stmt_id: str, power: int | None = None) -> int:
+    """The k of the modulus p^k stmt_id is checked in; ``power`` overrides the catalog."""
+    if stmt_id == "TRACE_C15":
+        return 1  # stated mod p only; harmonic and G1 data live there
+    return STATEMENTS[stmt_id].power if power is None else power
+
+
+def context_power(stmt_id: str, power: int | None = None) -> int:
+    """The largest k of the contexts Z/p^k a check of stmt_id builds."""
+    k = comparison_power(stmt_id, power)
+    return max(k, 2) if stmt_id == "TRACE_C9" else k  # its shift quotient is read mod p^2
+
+
 class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
@@ -213,9 +226,7 @@ class StatementChecker:
         exploratory runs only.
         """
         st = STATEMENTS[stmt_id]
-        k = st.power if power is None else power
-        if stmt_id == "TRACE_C15":
-            k = 1  # stated mod p only; harmonic and G1 data live there
+        k = comparison_power(stmt_id, power)
         p = self.p
         if st.takes_param:
             if a is None:

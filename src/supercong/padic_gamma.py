@@ -1,81 +1,64 @@
 """Morita's p-adic Gamma function in Z/p^k, and its logarithmic derivative mod p.
 
-For a non-negative integer m, Gamma_p(m) = (-1)^m * prod of j in (0, m) coprime
-to p.  Gamma_p is 1-Lipschitz on the p-adic integers, so replacing a p-adic
-integer x by any m = x (mod p^k) evaluates Gamma_p(x) mod p^k.  Values are
-always units of Z/p^k.
+For a non-negative integer m, Gamma_p(m) = (-1)^m F(m) with F(m) the product of
+the j in (0, m) coprime to p.  Gamma_p is 1-Lipschitz, so any m = x (mod p^k)
+gives Gamma_p(x) mod p^k for a p-adic integer x; values are units of Z/p^k.
+
+F(m) is evaluated in closed form.  Expanding prod_{j<r} (qp + j) in powers of
+qp gives (r-1)! (1 + qp H_{r-1} + (qp)^2 e2_{r-1}) mod p^3, with H_n and e2_n
+the first and second elementary symmetric sums of 1/1, ..., 1/n.  For p >= 5,
+Wolstenholme's theorem gives H_{p-1} = 0 mod p^2 and e2_{p-1} = 0 mod p, so
+every full block of p - 1 factors is (p-1)! mod p^3 and, for m = qp + r with
+0 <= r < p (the partial block is 1 when r = 0),
+
+    F(m) = ((p-1)!)^q (r-1)! (1 + qp H_{r-1} + (qp)^2 e2_{r-1})  (mod p^3).
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
 from .padic_core import (
     ModulusContext,
-    PadicError,
     RationalLike,
     Residue,
     harmonic_mod,
     reduce_rational,
     s_p,
+    unit_inverse_table,
 )
 
 
-class CapExceeded(PadicError):
-    """Raised when a Gamma evaluation would need a longer loop than allowed."""
-
-
-# A running-product checkpoint is stored every _STRIDE steps, so a query below
-# the current sweep position costs at most _STRIDE multiplications.
-_STRIDE = 128
-
-
 class GammaEvaluator:
-    """Evaluates Gamma_p mod p^k by direct product, with a per-context memo.
+    """Gamma_p mod p^k by the block formula: O(p) tables of (r-1)! times
+    (1, H_{r-1}, e2_{r-1}) mod p^k, one per residue r (and (1, 0, 0) for r = 0),
+    then one modular power per call.  Immutable after construction."""
 
-    The evaluator sweeps the partial product F(m) = prod_{0<j<m, p notdiv j} j
-    forward once, memoizes every argument it is asked for, and keeps sparse
-    checkpoints so that out-of-order queries only redo a short tail.  Safe for
-    concurrent use; results do not depend on query order.
-    """
-
-    def __init__(self, ctx: ModulusContext, complexity_cap: int | None = None):
+    def __init__(self, ctx: ModulusContext):
         self.ctx = ctx
-        self.complexity_cap = ctx.modulus if complexity_cap is None else complexity_cap
-        self._memo: dict[int, int] = {}
-        self._positions = [0]  # checkpoint sweep positions, ascending
-        self._products = [1]  # F at each checkpoint
-        self._lock = threading.Lock()
-
-    def _partial_product_at(self, m: int) -> int:
-        i = bisect.bisect_right(self._positions, m) - 1
-        pos, prod = self._positions[i], self._products[i]
-        p, modulus = self.ctx.p, self.ctx.modulus
-        tail = self._positions[-1]
-        for j in range(pos, m):
-            if j % p:
-                prod = prod * j % modulus
-            if j + 1 > tail and (j + 1) % _STRIDE == 0:
-                self._positions.append(j + 1)
-                self._products.append(prod)
-        return prod
+        p, modulus = ctx.p, ctx.modulus
+        inverse = unit_inverse_table(p, ctx.k)
+        fact, harmonic, e2 = 1, 0, 0  # (r-1)!, H_{r-1}, e2_{r-1}
+        coeffs = [(1, 0, 0)]
+        for r in range(1, p):
+            coeffs.append((fact, fact * harmonic % modulus, fact * e2 % modulus))
+            e2 = (e2 + harmonic * inverse[r]) % modulus
+            harmonic = (harmonic + inverse[r]) % modulus
+            fact = fact * r % modulus
+        self._coeffs = tuple(coeffs)
+        self._block = fact  # (p-1)!
 
     def gamma_at(self, m: int) -> int:
         """Gamma_p at the non-negative integer m, as an int in [0, modulus)."""
-        if not 0 <= m < self.ctx.modulus:
-            raise ValueError(f"argument {m} outside [0, {self.ctx.modulus})")
-        if m > self.complexity_cap:
-            raise CapExceeded(f"product of length {m} exceeds cap {self.complexity_cap}")
-        with self._lock:
-            value = self._memo.get(m)
-            if value is None:
-                prod = self._partial_product_at(m)
-                value = prod if m % 2 == 0 else self.ctx.modulus - prod
-                self._memo[m] = value
-        return value
+        modulus = self.ctx.modulus
+        if not 0 <= m < modulus:
+            raise ValueError(f"argument {m} outside [0, {modulus})")
+        q, r = divmod(m, self.ctx.p)
+        a, b, c = self._coeffs[r]
+        qp = m - r
+        prod = pow(self._block, q, modulus) * (a + qp * (b + qp * c)) % modulus
+        return prod if m % 2 == 0 else modulus - prod
 
     def gamma_p(self, x: RationalLike) -> Residue:
         """Gamma_p(x) mod p^k for a p-adic integer x."""
@@ -86,17 +69,15 @@ class GammaEvaluator:
 
 @lru_cache(maxsize=256)
 def g1_of_one(p: int) -> int:
-    """G1(1) mod p, where G1 = Gamma_p'/Gamma_p.
+    """G1(1) mod p, where G1 = Gamma_p'/Gamma_p: minus the Wilson quotient.
 
-    Extracted from the first-order perturbation of Gamma_p at 1: with
-    t = Gamma_p(1 + p) mod p^2 one has t = -(1 + G1(1) p), and -t - 1 is
-    divisible by p because -t = 1 (mod p).
+    Gamma_p(1 + p) = (p-1)! = -(1 + G1(1) p) mod p^2, so
+    G1(1) = -((p-1)! + 1)/p mod p.
     """
-    ctx = ModulusContext(p, 2)
-    t = GammaEvaluator(ctx).gamma_at(1 + p)
-    num = (-t - 1) % ctx.modulus
-    assert num % p == 0
-    return (num // p) % p
+    fact = 1
+    for j in range(2, p):
+        fact = fact * j % (p * p)
+    return -((fact + 1) // p) % p
 
 
 def g1(x: RationalLike, p: int) -> int:

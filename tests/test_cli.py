@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -157,8 +158,43 @@ def test_usage_errors():
 
 
 def test_guardrail_refuses_large_power3_scan():
+    # p^3 for the primes above 1290 reaches the default modulus bound of 2^31
     assert main(["--primes", "5..1500", "--statements", "CONJ_S1"]) == EXIT_USAGE
     assert main(["--primes", "5..1500", "--statements", "THM1_A4", "--power", "3"]) == EXIT_USAGE
+
+
+def test_modulus_bound_is_a_usage_error(tmp_path, capsys):
+    # 46349^2 exceeds the default bound of 2^31: refused before any work
+    argv = ["--primes", "46349..46349", "--statements", "SUN_A3"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--force" in err
+    # --force lifts the bound
+    params = tmp_path / "params.txt"
+    params.write_text("1\n")
+    out = tmp_path / "report.jsonl"
+    assert main(argv + ["--force", "--params", str(params), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["verdict"] == "PASS"
+
+
+def test_power3_scan_above_p1000_runs_without_force(tmp_path):
+    out = tmp_path / "conj.jsonl"
+    argv = ["--primes", "1009..1013", "--statements", "CONJ_S1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["p"], r["k"]) for r in records] == [(1009, 3), (1013, 3)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_behaviour_gate_report_hash(tmp_path, jobs):
+    # the frozen whole-catalog report; a change to it must be deliberate
+    out = tmp_path / "all.jsonl"
+    argv = ["--primes", "5..97", "--statements", "all", "--seed", "0", "--jobs", jobs]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "363a52eb7d5e57376c2a09666d264b325f75bee83a6e5e2f6491c3adef764c64"
 
 
 def test_env_overrides(monkeypatch):

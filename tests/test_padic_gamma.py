@@ -1,12 +1,11 @@
 from fractions import Fraction
 from math import factorial, gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.padic_core import ModulusContext, least_residue, reduce_rational, s_p
-from supercong.padic_gamma import CapExceeded, GammaEvaluator, g1, g1_of_one
+from supercong.padic_core import ModulusContext, least_residue, reduce_rational, s_p, sieve_primes
+from supercong.padic_gamma import GammaEvaluator, g1, g1_of_one
 from supercong.hyperseries import pochhammer_mod
 
 SMALL_PRIMES = [5, 7, 11, 13]
@@ -40,6 +39,54 @@ def test_gamma_against_definition_oracle():
             assert ev.gamma_at(m) == gamma_oracle(m, p, ctx.modulus), (p, k, m)
 
 
+def gamma_oracle_table(ms, p: int, modulus: int) -> dict[int, int]:
+    # the literal definition at every m in ms, from one ascending running product
+    wanted = set(ms)
+    out, prod = {}, 1
+    for j in range(max(wanted) + 1):
+        if j in wanted:
+            out[j] = prod if j % 2 == 0 else -prod % modulus
+        if j % p:
+            prod = prod * j % modulus
+    return out
+
+
+def test_gamma_exhaustive_against_definition():
+    # every argument in [0, p^k), so each residue r and block count q is met
+    for p in sieve_primes(5, 23):
+        for k in (1, 2, 3):
+            ctx = ModulusContext(p, k)
+            ev = GammaEvaluator(ctx)
+            expected = gamma_oracle_table(range(ctx.modulus), p, ctx.modulus)
+            assert [ev.gamma_at(m) for m in range(ctx.modulus)] == [
+                expected[m] for m in range(ctx.modulus)
+            ], (p, k)
+
+
+def test_gamma_conjecture_arguments_mod_p3():
+    # the Gamma arguments of CONJ_S1..S3 at p = 101, against the definition
+    ctx = ModulusContext(101, 3)
+    ev = GammaEvaluator(ctx)
+    args = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 8), Fraction(3, 8), Fraction(1, 12), Fraction(5, 12)]
+    lifts = [reduce_rational(x, ctx).value for x in args]
+    expected = gamma_oracle_table(lifts, 101, ctx.modulus)
+    for x, m in zip(args, lifts):
+        assert ev.gamma_p(x).value == expected[m], x
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sieve_primes(5, 61)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+def test_gamma_random_fractions_mod_p3(p, x):
+    if x.denominator % p == 0:
+        return
+    ctx = ModulusContext(p, 3)
+    m = reduce_rational(x, ctx).value
+    assert GammaEvaluator(ctx).gamma_p(x).value == gamma_oracle(m, p, ctx.modulus)
+
+
 def test_gamma_continuity_of_integer_lifts():
     # The definition itself is stable mod p^k under shifting m by p^k, which
     # justifies evaluating at the reduced argument.
@@ -51,7 +98,7 @@ def test_gamma_continuity_of_integer_lifts():
 
 
 def test_gamma_out_of_order_queries_match_oracle():
-    # exercises the checkpointed sweep: descending and interleaved arguments
+    # results must not depend on query order: descending and interleaved arguments
     ctx = ModulusContext(13, 2)
     ev = GammaEvaluator(ctx)
     order = list(range(ctx.modulus - 1, 0, -11)) + list(range(3, ctx.modulus, 29))
@@ -71,14 +118,6 @@ def test_gamma_congruent_arguments_agree():
     ev = GammaEvaluator(ctx)
     assert ev.gamma_p(Fraction(3)).value == ev.gamma_p(Fraction(3 + 49)).value
     assert ev.gamma_p(Fraction(1, 2)).value == ev.gamma_p(Fraction(1, 2) + 49).value
-
-
-def test_gamma_cap():
-    ctx = ModulusContext(7, 2)
-    ev = GammaEvaluator(ctx, complexity_cap=10)
-    assert ev.gamma_at(10) == gamma_oracle(10, 7, 49)
-    with pytest.raises(CapExceeded):
-        ev.gamma_at(11)
 
 
 def test_reflection_property():
