@@ -37,6 +37,8 @@ FORCED_MAX_MODULUS = 2**63
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+#: The report's reader closed the pipe early; 128 + SIGPIPE, as a shell reports it.
+EXIT_PIPE = 141
 
 
 class ConfigError(Exception):
@@ -177,23 +179,25 @@ def _record_sort_key(record: ReportRecord):
 
 
 def collect_records(config: ScanConfig) -> list[ReportRecord]:
+    max_modulus = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
+    primes = sieve_primes(config.lo, config.hi) if config.statements else []
+    tasks = [  # largest, that is costliest, primes first
+        (p, tuple(config.statements), config.file_params, config.seed, config.power, max_modulus)
+        for p in reversed(primes)
+    ]
     records: list[ReportRecord] = []
-    if config.statements:
-        primes = sieve_primes(config.lo, config.hi)
-        max_modulus = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
-        tasks = [
-            (p, tuple(config.statements), config.file_params, config.seed, config.power, max_modulus)
-            for p in primes
-        ]
-        if config.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                for batch in pool.map(_scan_prime, tasks):
-                    records.extend(batch)
-        else:
-            for task in tasks:
-                records.extend(_scan_prime(task))
-    if config.run_identities:
-        records.extend(_identity_records(config.n_max))
+    if config.jobs > 1 and len(tasks) + config.run_identities > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            # the identity sweep runs beside the primes, not after them
+            sweep = pool.submit(_identity_records, config.n_max) if config.run_identities else None
+            for batch in pool.map(_scan_prime, tasks):
+                records.extend(batch)
+            records.extend(sweep.result() if sweep else [])
+    else:
+        for task in tasks:
+            records.extend(_scan_prime(task))
+        if config.run_identities:
+            records.extend(_identity_records(config.n_max))
     records.sort(key=_record_sort_key)
     return records
 
@@ -257,6 +261,7 @@ def run_scan(config: ScanConfig) -> int:
     records = collect_records(config)
     if config.out == "-":
         write_records(records, config.fmt, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         print(summarize(records), file=sys.stderr)
     else:
         with open(config.out, "w", encoding="utf-8", newline="") as handle:
@@ -268,6 +273,20 @@ def run_scan(config: ScanConfig) -> int:
 
 def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
+
+
+def _env_int(name: str, fallback: int | None, choices: tuple[int, ...] | None = None) -> int | None:
+    """An integer default from SUPERCONG_<name>, held to the flag's own checks."""
+    text = os.environ.get(ENV_PREFIX + name)
+    if text is None:
+        return fallback
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not an integer") from None
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{ENV_PREFIX}{name}={value} is not one of {', '.join(map(str, choices))}")
+    return value
 
 
 def _env_flag(name: str) -> bool:
@@ -284,15 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--primes", default=_env_default("PRIMES", "5..97"),
                         help="prime range LO..HI (default %(default)s)")
     parser.add_argument("--power", type=int, choices=(1, 2, 3),
-                        default=_env_default("POWER", None),
+                        default=_env_int("POWER", None, (1, 2, 3)),
                         help="override the comparison modulus power (exploratory)")
     parser.add_argument("--statements", default=_env_default("STATEMENTS", "theorems"),
                         help="comma list of statement ids, or all/theorems/conjectures/identities")
     parser.add_argument("--params", default=_env_default("PARAMS", None),
                         help="file with one parameter per line (num/den or int)")
-    parser.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)),
+    parser.add_argument("--seed", type=int, default=_env_int("SEED", 0),
                         help="seed of the fraction sampler (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=int(_env_default("JOBS", 1)),
+    parser.add_argument("--jobs", type=int, default=_env_int("JOBS", 1),
                         help="worker processes, partitioned by prime")
     parser.add_argument("--out", default=_env_default("OUT", "-"),
                         help="report path, '-' for stdout (default)")
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="conjecture failures also flip the exit status")
     parser.add_argument("--force", action="store_true", default=_env_flag("FORCE"),
                         help="lift the modulus bound from 2^31 to 2^63")
-    parser.add_argument("--n-max", type=int, default=int(_env_default("N_MAX", 100)),
+    parser.add_argument("--n-max", type=int, default=_env_int("N_MAX", 100),
                         help="sweep bound for identity checks (default %(default)s)")
     return parser
 
@@ -321,7 +340,6 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
     if args.params:
         # keep each (statement, p, a) triple unique even if the file repeats values
         file_params = list(dict.fromkeys(parse_params(args.params)))
-    power = int(args.power) if args.power is not None else None
     return ScanConfig(
         lo=lo,
         hi=hi,
@@ -334,20 +352,22 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
         strict=args.strict,
         force=args.force,
         n_max=args.n_max,
-        power=power,
+        power=args.power,
         file_params=file_params,
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run_scan(config)
+        args = build_parser().parse_args(argv)
+        return run_scan(config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early (say `| head`): drop the rest quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -74,10 +74,6 @@ STATEMENTS: dict[str, Statement] = {
 NAMED_RATIONALS = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
 
 
-def named_rationals() -> tuple[Fraction, ...]:
-    return NAMED_RATIONALS
-
-
 @dataclass(frozen=True)
 class ReportRecord:
     """One verdict row: statement, prime, power, parameter, both sides."""
@@ -199,7 +195,9 @@ class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
     One instance serves every statement and parameter at its prime; contexts
-    and Gamma evaluators are created per power on first use and reused.
+    and Gamma evaluators are created per power on first use and reused, each
+    parameter is reduced once, and each truncated series is evaluated once
+    per (k, a) whichever statements read it.
     """
 
     def __init__(self, p: int, max_modulus: int = DEFAULT_MAX_MODULUS):
@@ -207,6 +205,8 @@ class StatementChecker:
         self.max_modulus = max_modulus
         self._ctx: dict[int, ModulusContext] = {}
         self._gamma: dict[int, GammaEvaluator] = {}
+        self._points: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
+        self._series: dict[tuple, int] = {}
 
     def ctx(self, k: int) -> ModulusContext:
         if k not in self._ctx:
@@ -218,6 +218,24 @@ class StatementChecker:
             self._gamma[k] = GammaEvaluator(self.ctx(k))
         return self._gamma[k]
 
+    def point(self, a: RationalLike) -> tuple[Fraction, int | None]:
+        """a as a Fraction and its least residue mod p (None unless a is a p-adic integer)."""
+        key = (a.numerator, a.denominator)  # hashes far faster than a Fraction
+        point = self._points.get(key)
+        if point is None:
+            f = Fraction(a)
+            r = None if f.denominator % self.p == 0 else least_residue(f, self.p)
+            point = self._points[key] = (f, r)
+        return point
+
+    def series(self, kernel, a: Fraction, k: int) -> int:
+        """kernel(a, ctx(k)).value for a series kernel, evaluated once per (kernel, k, a)."""
+        key = (kernel, k, a.numerator, a.denominator)
+        value = self._series.get(key)
+        if value is None:
+            value = self._series[key] = kernel(a, self.ctx(k)).value
+        return value
+
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:
         """Evaluate one statement, returning a PASS/FAIL/SKIPPED record.
 
@@ -228,45 +246,43 @@ class StatementChecker:
         st = STATEMENTS[stmt_id]
         k = comparison_power(stmt_id, power)
         p = self.p
+        r = None
         if st.takes_param:
             if a is None:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
-            a = Fraction(a)
-            if a.denominator % p == 0:
+            a, r = self.point(a)
+            if r is None:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
-            if st.parity is not None:
-                even = least_residue(a, p) % 2 == 0
-                if even != (st.parity == "even"):
-                    return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
+            if st.parity is not None and (r % 2 == 0) != (st.parity == "even"):
+                return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
         elif a is not None:
             raise ValueError(f"statement {stmt_id} takes no parameter")
-        lhs, rhs = self._evaluate(stmt_id, a, k)
+        lhs, rhs = self._evaluate(stmt_id, a, r, k)
         verdict = PASS if lhs == rhs else FAIL
         return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
 
-    def _evaluate(self, stmt_id: str, a: Fraction | None, k: int) -> tuple[int, int]:
+    def _evaluate(self, stmt_id: str, a: Fraction | None, r: int | None, k: int) -> tuple[int, int]:
         ctx = self.ctx(k)
         if stmt_id == "SUN_A2":
-            return series_3f2_one(a, ctx).value, 0
+            return self.series(series_3f2_one, a, k), 0
         if stmt_id == "SUN_A3":
-            return series_2f1_half(a, ctx).value, 0
+            return self.series(series_2f1_half, a, k), 0
         if stmt_id == "THM1_A4":
-            return series_2f1_half(a, ctx).value, rhs_thm1(a, ctx, self.gamma(k)).value
+            return self.series(series_2f1_half, a, k), rhs_thm1(a, ctx, self.gamma(k)).value
         if stmt_id in ("THM2_A5", "CONJ_S4"):
-            return series_3f2_one(a, ctx).value, rhs_thm2(a, ctx, self.gamma(k)).value
+            return self.series(series_3f2_one, a, k), rhs_thm2(a, ctx, self.gamma(k)).value
         if stmt_id == "THM3_A6":
-            lhs = series_3f2_one(a, ctx).value
-            sq = series_2f1_half(a, ctx).value
-            return lhs, sq * sq % ctx.modulus
+            sq = self.series(series_2f1_half, a, k)
+            return self.series(series_3f2_one, a, k), sq * sq % ctx.modulus
         if stmt_id == "LEMMA_B5":
             return self._evaluate_b5(a, ctx)
         if stmt_id == "TRACE_C9":
-            return self._evaluate_c9(a, ctx)
+            return self._evaluate_c9(a, r, ctx)
         if stmt_id == "TRACE_C15":
-            return self._evaluate_c15(a), 0
+            return self._evaluate_c15(a, r), 0
         if stmt_id in _CONJ_DATA:
             named = {"CONJ_S1": Fraction(-1, 3), "CONJ_S2": Fraction(-1, 4), "CONJ_S3": Fraction(-1, 6)}
-            lhs = series_3f2_one(named[stmt_id], ctx).value
+            lhs = self.series(series_3f2_one, named[stmt_id], k)
             return lhs, rhs_conj(stmt_id, ctx, self.gamma(k)).value
         raise KeyError(stmt_id)
 
@@ -278,22 +294,20 @@ class StatementChecker:
         rhs = ev.gamma_p(a).value * (1 + g1(a, p) * p) % m
         return lhs, rhs
 
-    def _evaluate_c9(self, a: Fraction, ctx: ModulusContext) -> tuple[int, int]:
+    def _evaluate_c9(self, a: Fraction, r: int, ctx: ModulusContext) -> tuple[int, int]:
         # Truncated 2F1 against its closed form with first-order p-correction.
         p, m = ctx.p, ctx.modulus
-        r = least_residue(a, p)
         d = delta(a, self.ctx(2)).value % p  # shift quotient mod p, whatever k is
         hdiff = (harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)) % p
         w = d * hdiff % p * pow(2, -1, p) % p
         rhs = comb(r, r // 2) % m * pow(pow(4, -1, m), r // 2, m) % m
         rhs = rhs * _sign_value(r // 2, m) % m
         rhs = rhs * (1 + w * p) % m
-        return series_2f1_half(a, ctx).value, rhs
+        return self.series(series_2f1_half, a, ctx.k), rhs
 
-    def _evaluate_c15(self, a: Fraction) -> int:
+    def _evaluate_c15(self, a: Fraction, r: int) -> int:
         # Harmonic/log-derivative cancellation mod p; the G1(1) terms cancel.
         p = self.p
-        r = least_residue(a, p)
         out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
         out += g1(-a / 2, p) - g1((1 + a) / 2, p)
         return out % p
@@ -302,18 +316,6 @@ class StatementChecker:
 def check_statement(stmt_id: str, p: int, a: RationalLike | None = None) -> ReportRecord:
     """One-off statement check; scans should reuse a StatementChecker per prime."""
     return StatementChecker(p).check(stmt_id, a)
-
-
-def check_c9_trace(a: RationalLike, p: int) -> ReportRecord:
-    """Truncated 2F1 against its closed form with the first-order p-correction
-    in the shift quotient; even least residues only (SKIPPED otherwise)."""
-    return check_statement("TRACE_C9", p, a)
-
-
-def check_c15(a: RationalLike, p: int) -> ReportRecord:
-    """Mod-p cancellation of harmonic differences against log-derivative
-    differences of Gamma_p; even least residues only (SKIPPED otherwise)."""
-    return check_statement("TRACE_C15", p, a)
 
 
 # ---------------------------------------------------------------------------

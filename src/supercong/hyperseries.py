@@ -3,13 +3,15 @@
 The truncated series sum_{k=0..N} (a_1)_k ... (a_r)_k / ((b_1)_k ... (b_s)_k)
 * z^k / k! is evaluated either over exact rationals or in Z/p^k.  Modular
 evaluation multiplies each term ratio by unit inverses only: lower-parameter
-factors and k+1 must be units mod p, which is checked as the sum runs.
+factors and k+1 must be units mod p, which is checked as the sum runs.  The
+two series the catalog checks share one kernel driven by per-(p, k) tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .padic_core import (
     ModulusContext,
@@ -123,41 +125,40 @@ def truncated_pfq_mod(spec: SeriesSpec, ctx: ModulusContext) -> Residue:
     return Residue(total, ctx)
 
 
+@lru_cache(maxsize=2)
+def _ratio_tables(p: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Both series have term ratio (-a+j)(a+1+j) c_j = (j(j+1) - a(a+1)) c_j,
+    # with c_j = 1/(2 (j+1)^2) for the 2F1 and c_j = (1/2 + j)/(j+1)^3 for the
+    # 3F2; rows (j(j+1), c_j) mod p^k for j = 0..p-2.  Two (p, k) stay cached:
+    # a scan's contexts at one prime, not its whole prime range.
+    m = p**k
+    inv = unit_inverse_table(p, k)
+    half = (m + 1) // 2
+    rows_2f1 = tuple((j * (j + 1), inv[j + 1] * inv[j + 1] % m * half % m) for j in range(p - 1))
+    rows_3f2 = tuple((j * (j + 1), (half + j) * pow(inv[j + 1], 3, m) % m) for j in range(p - 1))
+    return rows_2f1, rows_3f2
+
+
+def _series(a: RationalLike, ctx: ModulusContext, which: int) -> Residue:
+    # Stops at the first term that is 0 mod p^k: later terms are multiples of
+    # it by unit-denominator ratios, so they vanish too (exactly, not nearly).
+    m = ctx.modulus
+    x = reduce_rational(a, ctx).value
+    shift = x * (x + 1) % m
+    total = term = 1
+    for s, c in _ratio_tables(ctx.p, ctx.k)[which]:
+        term = term * (s - shift) * c % m
+        if not term:
+            break
+        total += term
+    return Residue(total % m, ctx)
+
+
 def series_2f1_half(a: RationalLike, ctx: ModulusContext) -> Residue:
     """2F1(-a, a+1; 1; 1/2) truncated at p-1, reduced in Z/p^k."""
-    a = Fraction(a)
-    p, m = ctx.p, ctx.modulus
-    inv = unit_inverse_table(p, ctx.k)
-    inv2 = inv[2]
-    u = reduce_rational(-a, ctx).value
-    v = reduce_rational(a + 1, ctx).value
-    total = 1
-    term = 1
-    for k in range(p - 1):
-        i = inv[k + 1]
-        term = term * ((u + k) * (v + k) % m) % m * (i * i % m) % m * inv2 % m
-        total = (total + term) % m
-    return Residue(total, ctx)
+    return _series(a, ctx, 0)
 
 
 def series_3f2_one(a: RationalLike, ctx: ModulusContext) -> Residue:
     """3F2(1/2, -a, a+1; 1, 1; 1) truncated at p-1, reduced in Z/p^k."""
-    a = Fraction(a)
-    p, m = ctx.p, ctx.modulus
-    inv = unit_inverse_table(p, ctx.k)
-    h = reduce_rational(Fraction(1, 2), ctx).value
-    u = reduce_rational(-a, ctx).value
-    v = reduce_rational(a + 1, ctx).value
-    total = 1
-    term = 1
-    for k in range(p - 1):
-        i = inv[k + 1]
-        term = (
-            term
-            * ((h + k) * (u + k) % m * (v + k) % m)
-            % m
-            * (i * i % m * i % m)
-            % m
-        )
-        total = (total + term) % m
-    return Residue(total, ctx)
+    return _series(a, ctx, 1)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from supercong.cli import (
     ConfigError,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     ScanConfig,
     build_parser,
@@ -205,6 +209,32 @@ def test_env_overrides(monkeypatch):
     assert args.seed == 77
     assert args.primes == "5..7"
     assert args.strict is True
+
+
+@pytest.mark.parametrize(
+    "name, value", [("POWER", "5"), ("SEED", "x"), ("JOBS", "2.5"), ("N_MAX", "ten")]
+)
+def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):
+    monkeypatch.setenv("SUPERCONG_" + name, value)
+    assert main(["--primes", "5..7", "--statements", "SUN_A2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: SUPERCONG_{name}=") and err.count("\n") == 1
+
+
+def test_reader_closing_the_pipe_early(tmp_path):
+    # about 400 kB of records: far more than a pipe holds, so the writer
+    # is still writing when the reader goes away after the first line
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "supercong.cli", "--primes", "5..97", "--statements", "THM1_A4"]
+    err = tmp_path / "stderr.txt"
+    with open(err, "wb") as err_handle:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err_handle, env=env)
+        assert json.loads(proc.stdout.readline())["statement"] == "THM1_A4"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_PIPE
+    assert err.read_bytes() == b""
 
 
 def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):

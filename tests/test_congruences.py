@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,6 @@ from supercong.congruences import (
     STATEMENTS,
     HypothesisFailed,
     StatementChecker,
-    check_c9_trace,
-    check_c15,
     check_statement,
     default_parameters,
     rhs_conj,
@@ -107,13 +106,8 @@ def test_trace_checks():
     assert check_statement("TRACE_C15", 11, Fraction(2)).verdict == PASS
     assert check_statement("TRACE_C15", 13, Fraction(-1, 6)).verdict == PASS
     assert check_statement("TRACE_C15", 7, Fraction(0)).verdict == PASS
-
-
-def test_trace_wrappers():
-    assert check_c9_trace(Fraction(-1, 3), 7).verdict == PASS
-    assert check_c15(Fraction(-1, 6), 13).verdict == PASS
-    assert check_c9_trace(Fraction(1), 7).verdict == SKIPPED
-    assert check_c15(Fraction(1), 7).skip_reason == "parity"
+    assert check_statement("TRACE_C9", 7, Fraction(1)).verdict == SKIPPED
+    assert check_statement("TRACE_C15", 7, Fraction(1)).skip_reason == "parity"
 
 
 def test_trace_c9_integer_parameter_reduces_to_exact_value():
@@ -125,6 +119,36 @@ def test_trace_c9_integer_parameter_reduces_to_exact_value():
     m = 121
     expected = comb(4, 2) * pow(pow(4, -1, m), 2, m) % m  # (-1/4)^2 C(4,2)
     assert rec.rhs == expected
+
+
+def test_checker_evaluates_each_series_once_per_point(monkeypatch):
+    import supercong.congruences as congruences
+
+    calls = Counter()
+
+    def counting(name):
+        kernel = getattr(congruences, name)
+
+        def counted(a, ctx):
+            calls[name, ctx.k, Fraction(a)] += 1
+            return kernel(a, ctx)
+
+        return counted
+
+    for name in ("series_2f1_half", "series_3f2_one"):
+        monkeypatch.setattr(congruences, name, counting(name))
+    p = 23
+    params = default_parameters(p, seed=5)
+    theorems = [s for s, st in STATEMENTS.items() if st.kind == "theorem"]
+    checker = StatementChecker(p)
+    records = [checker.check(stmt, a) for stmt in theorems for a in params]
+    assert max(calls.values()) == 1
+    # each kernel was still reached at every parameter, and only mod p^2
+    assert {(name, k) for name, k, _ in calls} == {("series_2f1_half", 2), ("series_3f2_one", 2)}
+    assert {a for _, _, a in calls} == set(params)
+    # the shared values are the ones a fresh checker per record computes
+    for rec in records[::7]:
+        assert rec == StatementChecker(p).check(rec.statement, rec.a)
 
 
 def test_lemma_b5_statement():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.padic_core import ModulusContext, NotPAdicInteger, reduce_rational
+from supercong.congruences import NAMED_RATIONALS
+from supercong.padic_core import ModulusContext, NotPAdicInteger, reduce_rational, sieve_primes
 from supercong.hyperseries import (
     LowerParameterPole,
     NonUnitDenominator,
@@ -244,3 +245,31 @@ def test_term_equivalence_binomial_form_3f2():
             )
             closed = comb(2 * k, k) ** 2 * gen_binom(a + k, 2 * k) * Fraction(-1, 4) ** k
             assert term == closed
+
+
+@st.composite
+def kernel_points(draw):
+    # a prime to 61, a power, and a parameter that is an integer residue
+    # (where the kernel stops early), a non-integer a = r (mod p), or named
+    p = draw(st.sampled_from(sieve_primes(5, 61)))
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["residue", "shifted", "named"]))
+    if kind == "residue":
+        return p, k, Fraction(r)
+    if kind == "named":
+        return p, k, draw(st.sampled_from(NAMED_RATIONALS))
+    den = draw(st.integers(2, 12).filter(lambda d: d % p))
+    num = draw(st.integers(-40, 40).filter(lambda n: n % den))
+    return p, k, r + p * Fraction(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_points())
+def test_series_kernel_matches_exact_sum(point):
+    p, k, a = point
+    ctx = ModulusContext(p, k)
+    spec2 = SeriesSpec((-a, a + 1), (Fraction(1),), Fraction(1, 2), p - 1)
+    assert series_2f1_half(a, ctx) == reduce_rational(truncated_pfq_exact(spec2), ctx)
+    spec3 = SeriesSpec((Fraction(1, 2), -a, a + 1), (Fraction(1), Fraction(1)), Fraction(1), p - 1)
+    assert series_3f2_one(a, ctx) == reduce_rational(truncated_pfq_exact(spec3), ctx)
