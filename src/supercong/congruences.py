@@ -318,6 +318,18 @@ def check_statement(stmt_id: str, p: int, a: RationalLike | None = None) -> Repo
     return StatementChecker(p).check(stmt_id, a)
 
 
+def check_c9_trace(a: RationalLike, p: int) -> ReportRecord:
+    """Truncated 2F1 against its closed form with the first-order p-correction
+    in the shift quotient; even least residues only (SKIPPED otherwise)."""
+    return check_statement("TRACE_C9", p, a)
+
+
+def check_c15(a: RationalLike, p: int) -> ReportRecord:
+    """Mod-p cancellation of harmonic differences against log-derivative
+    differences of Gamma_p; even least residues only (SKIPPED otherwise)."""
+    return check_statement("TRACE_C15", p, a)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic parameter sampling
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from supercong.congruences import (
     STATEMENTS,
     HypothesisFailed,
     StatementChecker,
+    check_c9_trace,
+    check_c15,
     check_statement,
     default_parameters,
     rhs_conj,
@@ -106,8 +108,13 @@ def test_trace_checks():
     assert check_statement("TRACE_C15", 11, Fraction(2)).verdict == PASS
     assert check_statement("TRACE_C15", 13, Fraction(-1, 6)).verdict == PASS
     assert check_statement("TRACE_C15", 7, Fraction(0)).verdict == PASS
-    assert check_statement("TRACE_C9", 7, Fraction(1)).verdict == SKIPPED
-    assert check_statement("TRACE_C15", 7, Fraction(1)).skip_reason == "parity"
+
+
+def test_trace_wrappers():
+    assert check_c9_trace(Fraction(-1, 3), 7).verdict == PASS
+    assert check_c15(Fraction(-1, 6), 13).verdict == PASS
+    assert check_c9_trace(Fraction(1), 7).verdict == SKIPPED
+    assert check_c15(Fraction(1), 7).skip_reason == "parity"
 
 
 def test_trace_c9_integer_parameter_reduces_to_exact_value():
