@@ -13,9 +13,11 @@ from .padic_core import (
     NotInvertible,
     NotPAdicInteger,
     PadicError,
+    PRational,
     Residue,
     delta,
     harmonic_mod,
+    has_even_residue,
     is_prime,
     least_residue,
     mod_inverse,
@@ -58,8 +60,11 @@ from .congruences import (
     HypothesisFailed,
     ReportRecord,
     StatementChecker,
+    check_c9_trace,
+    check_c15,
     check_statement,
     default_parameters,
+    named_rationals,
     rhs_conj,
     rhs_thm1,
     rhs_thm2,

@@ -179,25 +179,23 @@ def _record_sort_key(record: ReportRecord):
 
 
 def collect_records(config: ScanConfig) -> list[ReportRecord]:
-    max_modulus = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
-    primes = sieve_primes(config.lo, config.hi) if config.statements else []
-    tasks = [  # largest, that is costliest, primes first
-        (p, tuple(config.statements), config.file_params, config.seed, config.power, max_modulus)
-        for p in reversed(primes)
-    ]
     records: list[ReportRecord] = []
-    if config.jobs > 1 and len(tasks) + config.run_identities > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            # the identity sweep runs beside the primes, not after them
-            sweep = pool.submit(_identity_records, config.n_max) if config.run_identities else None
-            for batch in pool.map(_scan_prime, tasks):
-                records.extend(batch)
-            records.extend(sweep.result() if sweep else [])
-    else:
-        for task in tasks:
-            records.extend(_scan_prime(task))
-        if config.run_identities:
-            records.extend(_identity_records(config.n_max))
+    if config.statements:
+        primes = sieve_primes(config.lo, config.hi)
+        max_modulus = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
+        tasks = [  # largest, that is costliest, primes first
+            (p, tuple(config.statements), config.file_params, config.seed, config.power, max_modulus)
+            for p in reversed(primes)
+        ]
+        if config.jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                for batch in pool.map(_scan_prime, tasks):
+                    records.extend(batch)
+        else:
+            for task in tasks:
+                records.extend(_scan_prime(task))
+    if config.run_identities:
+        records.extend(_identity_records(config.n_max))
     records.sort(key=_record_sort_key)
     return records
 

@@ -74,6 +74,10 @@ STATEMENTS: dict[str, Statement] = {
 NAMED_RATIONALS = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
 
 
+def named_rationals() -> tuple[Fraction, ...]:
+    return NAMED_RATIONALS
+
+
 @dataclass(frozen=True)
 class ReportRecord:
     """One verdict row: statement, prime, power, parameter, both sides."""

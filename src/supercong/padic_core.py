@@ -1,8 +1,9 @@
 """Exact arithmetic in Z/p^k for primes p >= 5.
 
 Residues are canonical representatives in [0, p^k).  Rational parameters are
-plain ``fractions.Fraction`` values; a rational is usable at a prime p only
-when p does not divide its denominator, i.e. when it is a p-adic integer.
+plain ``fractions.Fraction`` values (exported as :data:`PRational`); a rational
+is usable at a prime p only when p does not divide its denominator, i.e. when
+it is a p-adic integer.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
+
+#: Exact rational parameter type.  ``fractions.Fraction`` already guarantees
+#: the invariants we need: gcd-reduced, positive denominator, sign in the
+#: numerator.
+PRational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -92,6 +98,9 @@ class ModulusContext:
             )
         object.__setattr__(self, "modulus", modulus)
 
+    def residue(self, value: int) -> "Residue":
+        return Residue(value % self.modulus, self)
+
 
 @dataclass(frozen=True)
 class Residue:
@@ -132,6 +141,9 @@ class Residue:
     def __pow__(self, e: int) -> "Residue":
         return Residue(pow(self.value, e, self.ctx.modulus), self.ctx)
 
+    def inverse(self) -> "Residue":
+        return mod_inverse(self)
+
     def __repr__(self) -> str:
         return f"Residue({self.value} mod {self.ctx.modulus})"
 
@@ -167,6 +179,11 @@ def least_residue(a: RationalLike, p: int) -> int:
     a = Fraction(a)
     _check_p_adic(a, p)
     return a.numerator * _inv_int(a.denominator % p, p) % p
+
+
+def has_even_residue(a: RationalLike, p: int) -> bool:
+    """Parity predicate on least_residue(a, p); gates most statements."""
+    return least_residue(a, p) % 2 == 0
 
 
 def s_p(x: RationalLike, p: int) -> int:

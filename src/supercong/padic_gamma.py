@@ -64,6 +64,8 @@ class GammaEvaluator:
         """Gamma_p(x) mod p^k for a p-adic integer x."""
         return Residue(self.gamma_at(reduce_rational(x, self.ctx).value), self.ctx)
 
+    __call__ = gamma_p
+
 
 @lru_cache(maxsize=256)
 def g1_of_one(p: int) -> int:

@@ -12,6 +12,7 @@ from supercong.padic_core import (
     Residue,
     delta,
     harmonic_mod,
+    has_even_residue,
     least_residue,
     mod_inverse,
     reduce_rational,
@@ -145,6 +146,8 @@ def test_least_residue_examples():
     assert least_residue(Fraction(-1, 3), 7) == 2
     assert least_residue(Fraction(-1, 2), 5) == 2
     assert least_residue(Fraction(-1, 2), 7) == 3
+    assert has_even_residue(Fraction(-1, 3), 7)
+    assert not has_even_residue(Fraction(-1, 2), 7)
 
 
 def test_s_p_examples():
