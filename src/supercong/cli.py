@@ -71,6 +71,15 @@ class ScanConfig:
         unknown = [s for s in self.statements if s not in STATEMENTS]
         if unknown:
             raise ConfigError(f"unknown statements: {', '.join(unknown)}")
+        if self.n_max < 0:
+            raise ConfigError(f"--n-max (SUPERCONG_N_MAX) must be >= 0, got {self.n_max}")
+        # a scan that checks nothing would report nothing and still exit 0
+        if not self.statements and not self.run_identities:
+            raise ConfigError("no statements selected")
+        if self.statements and not any(is_prime(n) for n in range(max(self.lo, 5), self.hi + 1)):
+            raise ConfigError(f"no primes >= 5 in {self.lo}..{self.hi}")
+        if self.file_params == [] and any(STATEMENTS[s].takes_param for s in self.statements):
+            raise ConfigError("the --params file holds no parameters")
 
 
 def parse_params(path: str) -> list[Fraction]:

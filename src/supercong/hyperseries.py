@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .padic_core import (
     ModulusContext,
@@ -80,19 +81,28 @@ class SeriesSpec:
 
 
 def truncated_pfq_exact(spec: SeriesSpec) -> Fraction:
-    """The truncated series as an exact rational."""
-    total = Fraction(1)
-    term = Fraction(1)
+    """The truncated series as an exact rational.
+
+    With each parameter c = u/v, c + k = (u + k v)/v, so term k+1 is term k
+    times an integer ratio.  The terms and the sum share one denominator,
+    grown by that ratio's denominator each step, and only the final Fraction
+    takes a gcd.
+    """
+    ups = [(a.numerator, a.denominator) for a in spec.upper]
+    lows = [(b.numerator, b.denominator) for b in spec.lower]
+    num_scale = spec.z.numerator * prod(v for _, v in lows)
+    den_scale = spec.z.denominator * prod(v for _, v in ups)
+    total = denom = term = 1  # the sum so far is total/denom, the last term term/denom
     for k in range(spec.n_terms):
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in spec.lower:
-            den *= b + k
-        term = term * num * spec.z / den
-        total += term
-    return total
+        num, den = num_scale, den_scale * (k + 1)
+        for u, v in ups:
+            num *= u + k * v
+        for u, v in lows:
+            den *= u + k * v
+        term *= num
+        total = total * den + term
+        denom *= den
+    return Fraction(total, denom)
 
 
 def truncated_pfq_mod(spec: SeriesSpec, ctx: ModulusContext) -> Residue:

@@ -81,7 +81,7 @@ def test_criterion_2_recurrence_certification():
     start = time.perf_counter()
     report = check_recurrences(100)
     elapsed = time.perf_counter() - start
-    _report(2, report.passed, "harmonic-sum sequences vanish to 100 and satisfy both recurrences", elapsed)
+    _report(2, report.passed, "harmonic-sum sequences a_n and b_n vanish for n = 0..100", elapsed)
     assert report.passed, report
 
 

@@ -161,6 +161,54 @@ def test_usage_errors():
     assert main(["--statements", "MADE_UP"]) == EXIT_USAGE
 
 
+def _usage_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_negative_n_max_is_a_usage_error(monkeypatch, capsys):
+    # an empty sweep range would otherwise report RECURRENCES as a PASS
+    assert main(["--statements", "identities", "--n-max", "-3"]) == EXIT_USAGE
+    assert "--n-max" in _usage_error_line(capsys)
+    monkeypatch.setenv("SUPERCONG_N_MAX", "-3")
+    assert main(["--statements", "identities"]) == EXIT_USAGE
+    assert "SUPERCONG_N_MAX" in _usage_error_line(capsys)
+    assert main(["--statements", "identities", "--n-max", "0", "--out", os.devnull]) == EXIT_OK
+
+
+def test_empty_selection_is_a_usage_error(capsys):
+    assert main(["--primes", "5..7", "--statements", ""]) == EXIT_USAGE
+    assert "no statements selected" in _usage_error_line(capsys)
+    assert main(["--primes", "5..7", "--statements", " , "]) == EXIT_USAGE
+    _usage_error_line(capsys)
+
+
+def test_scan_without_primes_is_a_usage_error(tmp_path, capsys):
+    cases = (("1..3", "THM1_A4"), ("24..28", "CONJ_S1"), ("1..3", "identities,SUN_A2"))
+    for primes, statements in cases:
+        assert main(["--primes", primes, "--statements", statements]) == EXIT_USAGE
+        assert f"no primes >= 5 in {primes}" in _usage_error_line(capsys)
+    # the identity sweep needs no primes
+    out = tmp_path / "identities.jsonl"
+    argv = ["--primes", "1..3", "--statements", "identities", "--n-max", "4", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 21
+
+
+def test_empty_params_file_is_a_usage_error(tmp_path, capsys):
+    params = tmp_path / "params.txt"
+    params.write_text("# nothing but a comment\n\n")
+    argv = ["--primes", "5..7", "--params", str(params), "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv + ["--statements", "THM1_A4"]) == EXIT_USAGE
+    assert "--params" in _usage_error_line(capsys)
+    assert main(argv + ["--statements", "CONJ_S1,SUN_A2"]) == EXIT_USAGE
+    _usage_error_line(capsys)
+    # statements without a parameter do not read the file
+    assert main(argv + ["--statements", "CONJ_S1"]) == EXIT_OK
+
+
 def test_guardrail_refuses_large_power3_scan():
     # p^3 for the primes above 1290 reaches the default modulus bound of 2^31
     assert main(["--primes", "5..1500", "--statements", "CONJ_S1"]) == EXIT_USAGE
@@ -199,6 +247,14 @@ def test_behaviour_gate_report_hash(tmp_path, jobs):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "363a52eb7d5e57376c2a09666d264b325f75bee83a6e5e2f6491c3adef764c64"
+
+
+def test_identity_sweep_report_hash(tmp_path):
+    # the frozen identity report to n = 200, twice as far as the gate above
+    out = tmp_path / "identities.jsonl"
+    assert main(["--statements", "identities", "--n-max", "200", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "7fcb3d92bb97b94b745324ce174ced27e93205d9723beb2d7f123d1bcb3b67e7"
 
 
 def test_env_overrides(monkeypatch):

@@ -40,6 +40,19 @@ def pfq_oracle(upper, lower, z, n):
     return total
 
 
+def pfq_term_sum(upper, lower, z, n):
+    # term by term in reduced Fractions, each term from the one before it
+    total = term = Fraction(1)
+    for k in range(n):
+        for a in upper:
+            term *= Fraction(a) + k
+        for b in lower:
+            term /= Fraction(b) + k
+        term *= Fraction(z) / (k + 1)
+        total += term
+    return total
+
+
 def gen_binom(top, m):
     # C(top, m) for rational top: (top - m + 1)_m / m!
     return poch_oracle(Fraction(top) - m + 1, m) / factorial(m)
@@ -117,18 +130,27 @@ def test_pfq_exact_examples():
     assert truncated_pfq_exact(spec) == 1
 
 
-@settings(max_examples=40, deadline=None)
+upper_parameters = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.integers(-8, -1).map(Fraction),  # the series terminates inside the range
+)
+lower_parameters = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(
+    lambda b: b.denominator > 1 or b > 0
+)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=1, max_size=3),
-    st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=6),
-    st.fractions(min_value=-2, max_value=2, max_denominator=4),
-    st.integers(0, 8),
+    st.lists(upper_parameters, min_size=1, max_size=3),
+    st.lists(lower_parameters, max_size=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.integers(0, 12),
 )
 def test_pfq_exact_matches_oracle(upper, lower, z, n):
-    if lower.denominator == 1 and lower <= 0:
-        return
-    spec = SeriesSpec(tuple(upper), (lower,), z, n)
-    assert truncated_pfq_exact(spec) == pfq_oracle(upper, [lower], z, n)
+    spec = SeriesSpec(tuple(upper), tuple(lower), z, n)
+    exact = pfq_oracle(upper, lower, z, n)
+    assert truncated_pfq_exact(spec) == exact
+    assert pfq_term_sum(upper, lower, z, n) == exact  # the series kernel test's oracle
 
 
 def test_pfq_mod_examples():
@@ -269,7 +291,7 @@ def kernel_points(draw):
 def test_series_kernel_matches_exact_sum(point):
     p, k, a = point
     ctx = ModulusContext(p, k)
-    spec2 = SeriesSpec((-a, a + 1), (Fraction(1),), Fraction(1, 2), p - 1)
-    assert series_2f1_half(a, ctx) == reduce_rational(truncated_pfq_exact(spec2), ctx)
-    spec3 = SeriesSpec((Fraction(1, 2), -a, a + 1), (Fraction(1), Fraction(1)), Fraction(1), p - 1)
-    assert series_3f2_one(a, ctx) == reduce_rational(truncated_pfq_exact(spec3), ctx)
+    exact2 = pfq_term_sum((-a, a + 1), (1,), Fraction(1, 2), p - 1)
+    assert series_2f1_half(a, ctx) == reduce_rational(exact2, ctx)
+    exact3 = pfq_term_sum((Fraction(1, 2), -a, a + 1), (1, 1), 1, p - 1)
+    assert series_3f2_one(a, ctx) == reduce_rational(exact3, ctx)

@@ -6,8 +6,7 @@ import pytest
 from supercong.identities import (
     IdentityReport,
     OddInput,
-    _a_recurrence_residual,
-    _b_recurrence_residual,
+    _binomial_sum,
     a_n,
     b_n,
     check_b8,
@@ -85,20 +84,48 @@ def test_a_n_b_n_base_values():
     assert b_n(2) == 0
 
 
-def test_recurrence_residuals_detect_non_solutions():
-    # negative control: a sequence that does not satisfy the recurrences
-    fake = [Fraction(n) for n in range(8)]
-    assert _a_recurrence_residual(fake, 0) != 0
-    assert _b_recurrence_residual(fake, 1) != 0
-    zeros = [Fraction(0)] * 8
-    assert _a_recurrence_residual(zeros, 3) == 0
-    assert _b_recurrence_residual(zeros, 3) == 0
+def binomial_sum_oracle(n, e, weight=None):
+    # the Fraction loops the identity left sides used to be: one reduced
+    # Fraction per term, harmonic numbers summed from scratch
+    base = 2**e
+    h_n, h_half = harmonic_oracle(n), harmonic_oracle(n // 2)
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(comb(2 * k, k) ** e * comb(n + k, 2 * k) * (-1) ** k, base**k)
+        if weight is not None:
+            c_run, c_n, c_half = weight
+            term *= c_run * harmonic_oracle(n + k) + c_n * h_n + c_half * h_half
+        total += term
+    return total
+
+
+def test_identity_left_sides_match_fraction_loops():
+    for n in range(0, 61, 2):
+        assert check_b8(n).lhs == binomial_sum_oracle(n, 1)
+        assert check_b9(n).lhs == binomial_sum_oracle(n, 2)
+        assert check_b17(n).lhs == binomial_sum_oracle(n, 1, (1, -1, 0))
+        assert check_b18(n).lhs == binomial_sum_oracle(n, 2, (1, -1, 0))
+
+
+@pytest.mark.parametrize("e, weight", [(1, (2, -3, 1)), (2, (2, -5, 2))])
+def test_harmonic_sum_kernel_off_the_vanishing_weights(e, weight):
+    # a_n and b_n vanish only at their own weights; perturbing one
+    # coefficient gives nonzero sums the kernel must reproduce exactly
+    for n in range(1, 13):
+        assert _binomial_sum(2 * n, e, weight) == binomial_sum_oracle(2 * n, e, weight) == 0
+        for i in range(3):
+            perturbed = tuple(c + (j == i) for j, c in enumerate(weight))
+            value = _binomial_sum(2 * n, e, perturbed)
+            assert value == binomial_sum_oracle(2 * n, e, perturbed)
+            assert value != 0
 
 
 def test_check_recurrences_sweep():
     report = check_recurrences(25)
     assert report.passed
     assert report.n_min == 0 and report.n_max == 25
+    with pytest.raises(ValueError):
+        check_recurrences(-3)  # an empty range certifies nothing
 
 
 def test_clausen_examples():
