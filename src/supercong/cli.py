@@ -131,11 +131,13 @@ def resolve_statements(selection: str) -> tuple[list[str], bool]:
 def _scan_prime(task: tuple) -> list[ReportRecord]:
     p, stmt_ids, file_params, seed, power, max_modulus = task
     checker = StatementChecker(p, max_modulus=max_modulus)
+    params = None
     records = []
     for stmt_id in stmt_ids:
         st = STATEMENTS[stmt_id]
         if st.takes_param:
-            params = file_params if file_params is not None else default_parameters(p, seed)
+            if params is None:  # ascending: each (statement, p) run of records is in report order
+                params = sorted(file_params if file_params is not None else default_parameters(p, seed))
             for a in params:
                 records.append(checker.check(stmt_id, a, power=power))
         else:
@@ -179,12 +181,10 @@ def _identity_records(n_max: int) -> list[ReportRecord]:
 
 
 def _record_sort_key(record: ReportRecord):
-    return (
-        record.statement,
-        record.p if record.p is not None else 0,
-        record.a is not None,
-        record.a if record.a is not None else Fraction(0),
-    )
+    # Records of one (statement, p) already come in ascending a (parameters and
+    # identity indices are made in that order), and the sort is stable, so the
+    # report is ordered by (statement, p, a) without comparing Fractions.
+    return (record.statement, record.p if record.p is not None else 0, record.a is not None)
 
 
 def collect_records(config: ScanConfig) -> list[ReportRecord]:
@@ -211,8 +211,31 @@ def collect_records(config: ScanConfig) -> list[ReportRecord]:
 
 def write_records(records: list[ReportRecord], fmt: str, stream) -> None:
     if fmt == "jsonl":
-        for record in records:
-            stream.write(json.dumps(record.to_dict()) + "\n")
+        # Each line is byte-equal to json.dumps(record.to_dict()): integers and
+        # None are written as text, and strings go through json.dumps, each
+        # statement, verdict and skip reason once.  Write record by record:
+        # with the whole report in one write, a reader that closed the pipe
+        # early went unnoticed and the scan exited 0.
+        quoted: dict = {}
+
+        def quote(name) -> str:
+            line = quoted.get(name)
+            if line is None:
+                line = quoted[name] = json.dumps(name)
+            return line
+
+        def text(value) -> str:
+            if value.__class__ is int:
+                return str(value)
+            return "null" if value is None else json.dumps(value)
+
+        for r in records:
+            a_num, a_den = ("null", "null") if r.a is None else (r.a.numerator, r.a.denominator)
+            stream.write(
+                f'{{"statement": {quote(r.statement)}, "p": {text(r.p)}, "k": {text(r.k)}, '
+                f'"a_num": {a_num}, "a_den": {a_den}, "lhs": {text(r.lhs)}, "rhs": {text(r.rhs)}, '
+                f'"verdict": {quote(r.verdict)}, "skip_reason": {quote(r.skip_reason)}}}\n'
+            )
     else:
         columns = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
         writer = csv.writer(stream, lineterminator="\n")

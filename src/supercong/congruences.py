@@ -17,12 +17,12 @@ from .padic_core import (
     PadicError,
     RationalLike,
     Residue,
-    delta,
     harmonic_mod,
     least_residue,
+    reduce_rational,
     DEFAULT_MAX_MODULUS,
 )
-from .padic_gamma import GammaEvaluator, g1
+from .padic_gamma import GammaEvaluator, g1_at
 from .hyperseries import series_2f1_half, series_3f2_one
 
 PASS = "PASS"
@@ -119,21 +119,41 @@ def _minus_half_sign(p: int, modulus: int) -> int:
     return _sign_value((p - 1) // 2, modulus)
 
 
+def _even_lift(a: RationalLike, ctx: ModulusContext) -> int:
+    """a mod p^k, once the THM1/THM2 hypothesis (even least_residue(a, p)) holds."""
+    if least_residue(a, ctx.p) % 2:
+        raise HypothesisFailed("parity")
+    return reduce_rational(a, ctx).value
+
+
+def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
+    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k, from the lift x of a mod p^k."""
+    m = ev.ctx.modulus
+    half = (m + 1) // 2  # 2^-1 mod p^k
+    return ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
+
+
+def _thm1_factor(ev: GammaEvaluator) -> int:
+    """(-1)^((p+1)/2) Gamma_p(1/2) mod p^k, the part of rhs_thm1 free of a."""
+    m = ev.ctx.modulus
+    return _plus_half_sign(ev.ctx.p, m) * ev.gamma_at((m + 1) // 2) % m
+
+
+def _thm2_value(x: int, ev: GammaEvaluator) -> int:
+    """(-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2 mod p^k, from the lift x of a."""
+    m = ev.ctx.modulus
+    g = _gamma_pair(x, ev)
+    return _plus_half_sign(ev.ctx.p, m) * g % m * g % m
+
+
 def rhs_thm1(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | None = None) -> Residue:
     """(-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2) in Z/p^k.
 
     Requires even least_residue(a, p).
     """
-    a = Fraction(a)
-    if least_residue(a, ctx.p) % 2:
-        raise HypothesisFailed("parity")
+    x = _even_lift(a, ctx)
     ev = evaluator or GammaEvaluator(ctx)
-    m = ctx.modulus
-    out = _plus_half_sign(ctx.p, m)
-    out = out * ev.gamma_p(Fraction(1, 2)).value % m
-    out = out * ev.gamma_p(-a / 2).value % m
-    out = out * ev.gamma_p((a + 1) / 2).value % m
-    return Residue(out, ctx)
+    return Residue(_thm1_factor(ev) * _gamma_pair(x, ev) % ctx.modulus, ctx)
 
 
 def rhs_thm2(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | None = None) -> Residue:
@@ -142,13 +162,8 @@ def rhs_thm2(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | N
     Requires even least_residue(a, p).  Used both mod p^2 and, for the
     conjectural strengthening, mod p^3.
     """
-    a = Fraction(a)
-    if least_residue(a, ctx.p) % 2:
-        raise HypothesisFailed("parity")
-    ev = evaluator or GammaEvaluator(ctx)
-    m = ctx.modulus
-    g = ev.gamma_p(-a / 2).value * ev.gamma_p((a + 1) / 2).value % m
-    return Residue(_plus_half_sign(ctx.p, m) * g % m * g % m, ctx)
+    x = _even_lift(a, ctx)
+    return Residue(_thm2_value(x, evaluator or GammaEvaluator(ctx)), ctx)
 
 
 #: Gamma arguments and rational prefactors of the three fixed conjectures.
@@ -199,9 +214,10 @@ class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
     One instance serves every statement and parameter at its prime; contexts
-    and Gamma evaluators are created per power on first use and reused, each
-    parameter is reduced once, and each truncated series is evaluated once
-    per (k, a) whichever statements read it.
+    and Gamma evaluators are created per power on first use and reused.  Each
+    parameter is reduced mod p once and lifted mod p^k once per k, every
+    Gamma-side value is then computed from those integers, and each truncated
+    series is evaluated once per (k, a) whichever statements read it.
     """
 
     def __init__(self, p: int, max_modulus: int = DEFAULT_MAX_MODULUS):
@@ -209,7 +225,9 @@ class StatementChecker:
         self.max_modulus = max_modulus
         self._ctx: dict[int, ModulusContext] = {}
         self._gamma: dict[int, GammaEvaluator] = {}
+        self._thm1_factors: dict[int, int] = {}
         self._points: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
+        self._lifts: dict[tuple[int, int, int], int] = {}
         self._series: dict[tuple, int] = {}
 
     def ctx(self, k: int) -> ModulusContext:
@@ -231,6 +249,15 @@ class StatementChecker:
             r = None if f.denominator % self.p == 0 else least_residue(f, self.p)
             point = self._points[key] = (f, r)
         return point
+
+    def lift(self, a: Fraction, k: int) -> int:
+        """The p-adic integer a mod p^k, in [0, p^k), computed once per (k, a)."""
+        key = (k, a.numerator, a.denominator)
+        x = self._lifts.get(key)
+        if x is None:
+            m = self.ctx(k).modulus
+            x = self._lifts[key] = a.numerator * pow(a.denominator, -1, m) % m
+        return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:
         """kernel(a, ctx(k)).value for a series kernel, evaluated once per (kernel, k, a)."""
@@ -266,54 +293,55 @@ class StatementChecker:
         return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
 
     def _evaluate(self, stmt_id: str, a: Fraction | None, r: int | None, k: int) -> tuple[int, int]:
-        ctx = self.ctx(k)
+        # Series are evaluated and cached per parameter a; the Gamma side
+        # works on a's lifts mod p^k.
+        m = self.ctx(k).modulus
         if stmt_id == "SUN_A2":
             return self.series(series_3f2_one, a, k), 0
         if stmt_id == "SUN_A3":
             return self.series(series_2f1_half, a, k), 0
         if stmt_id == "THM1_A4":
-            return self.series(series_2f1_half, a, k), rhs_thm1(a, ctx, self.gamma(k)).value
+            ev = self.gamma(k)
+            if k not in self._thm1_factors:
+                self._thm1_factors[k] = _thm1_factor(ev)
+            rhs = self._thm1_factors[k] * _gamma_pair(self.lift(a, k), ev) % m
+            return self.series(series_2f1_half, a, k), rhs
         if stmt_id in ("THM2_A5", "CONJ_S4"):
-            return self.series(series_3f2_one, a, k), rhs_thm2(a, ctx, self.gamma(k)).value
+            return self.series(series_3f2_one, a, k), _thm2_value(self.lift(a, k), self.gamma(k))
         if stmt_id == "THM3_A6":
             sq = self.series(series_2f1_half, a, k)
-            return self.series(series_3f2_one, a, k), sq * sq % ctx.modulus
+            return self.series(series_3f2_one, a, k), sq * sq % m
         if stmt_id == "LEMMA_B5":
-            return self._evaluate_b5(a, ctx)
+            # First-order perturbation of Gamma_p one step of size p away from a.
+            p, ev, x = self.p, self.gamma(k), self.lift(a, k)
+            return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_at(r, p) * p) % m
         if stmt_id == "TRACE_C9":
-            return self._evaluate_c9(a, r, ctx)
+            return self.series(series_2f1_half, a, k), self._rhs_c9(a, r, m)
         if stmt_id == "TRACE_C15":
-            return self._evaluate_c15(a, r), 0
+            return self._lhs_c15(r), 0
         if stmt_id in _CONJ_DATA:
             named = {"CONJ_S1": Fraction(-1, 3), "CONJ_S2": Fraction(-1, 4), "CONJ_S3": Fraction(-1, 6)}
             lhs = self.series(series_3f2_one, named[stmt_id], k)
-            return lhs, rhs_conj(stmt_id, ctx, self.gamma(k)).value
+            return lhs, rhs_conj(stmt_id, self.ctx(k), self.gamma(k)).value
         raise KeyError(stmt_id)
 
-    def _evaluate_b5(self, a: Fraction, ctx: ModulusContext) -> tuple[int, int]:
-        # First-order perturbation of Gamma_p one step of size p away from a.
-        p, m = ctx.p, ctx.modulus
-        ev = self.gamma(ctx.k)
-        lhs = ev.gamma_p(a + p).value
-        rhs = ev.gamma_p(a).value * (1 + g1(a, p) * p) % m
-        return lhs, rhs
-
-    def _evaluate_c9(self, a: Fraction, r: int, ctx: ModulusContext) -> tuple[int, int]:
-        # Truncated 2F1 against its closed form with first-order p-correction.
-        p, m = ctx.p, ctx.modulus
-        d = delta(a, self.ctx(2)).value % p  # shift quotient mod p, whatever k is
-        hdiff = (harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)) % p
-        w = d * hdiff % p * pow(2, -1, p) % p
+    def _rhs_c9(self, a: Fraction, r: int, m: int) -> int:
+        # Closed form of the truncated 2F1 with first-order p-correction.
+        p = self.p
+        d = (self.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
+        hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
+        w = d * hdiff * ((p + 1) // 2) % p
         rhs = comb(r, r // 2) % m * pow(pow(4, -1, m), r // 2, m) % m
         rhs = rhs * _sign_value(r // 2, m) % m
-        rhs = rhs * (1 + w * p) % m
-        return self.series(series_2f1_half, a, ctx.k), rhs
+        return rhs * (1 + w * p) % m
 
-    def _evaluate_c15(self, a: Fraction, r: int) -> int:
+    def _lhs_c15(self, r: int) -> int:
         # Harmonic/log-derivative cancellation mod p; the G1(1) terms cancel.
+        # The least residues of -a/2 and (a+1)/2 mod p come from r alone.
         p = self.p
+        half = (p + 1) // 2  # 2^-1 mod p
         out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-        out += g1(-a / 2, p) - g1((1 + a) / 2, p)
+        out += g1_at(-r * half % p, p) - g1_at((r + 1) * half % p, p)
         return out % p
 
 

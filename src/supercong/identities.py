@@ -193,10 +193,15 @@ IDENTITY_IDS = tuple(_CHECKERS) + ("RECURRENCES",)
 
 
 def sweep_identity(identity: str, n_values) -> IdentityReport:
-    """Run one identity over the given n values, reporting the first failure."""
+    """Run one identity over the given n values, reporting the first failure.
+
+    Raises ValueError when there are no n values: an empty sweep certifies nothing.
+    """
     checker = _CHECKERS[identity]
     ns = list(n_values)
-    lo, hi = (min(ns), max(ns)) if ns else (0, -1)
+    if not ns:
+        raise ValueError(f"no n values to sweep {identity} over")
+    lo, hi = min(ns), max(ns)
     for n in ns:
         result = checker(n)
         if not result.ok:

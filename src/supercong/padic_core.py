@@ -98,9 +98,6 @@ class ModulusContext:
             )
         object.__setattr__(self, "modulus", modulus)
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value % self.modulus, self)
-
 
 @dataclass(frozen=True)
 class Residue:
@@ -140,9 +137,6 @@ class Residue:
 
     def __pow__(self, e: int) -> "Residue":
         return Residue(pow(self.value, e, self.ctx.modulus), self.ctx)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self)
 
     def __repr__(self) -> str:
         return f"Residue({self.value} mod {self.ctx.modulus})"

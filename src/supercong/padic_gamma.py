@@ -16,7 +16,6 @@ every full block of p - 1 factors is (p-1)! mod p^3 and, for m = qp + r with
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .padic_core import (
@@ -24,8 +23,8 @@ from .padic_core import (
     RationalLike,
     Residue,
     harmonic_mod,
+    least_residue,
     reduce_rational,
-    s_p,
     unit_inverse_table,
 )
 
@@ -64,8 +63,6 @@ class GammaEvaluator:
         """Gamma_p(x) mod p^k for a p-adic integer x."""
         return Residue(self.gamma_at(reduce_rational(x, self.ctx).value), self.ctx)
 
-    __call__ = gamma_p
-
 
 @lru_cache(maxsize=256)
 def g1_of_one(p: int) -> int:
@@ -80,6 +77,14 @@ def g1_of_one(p: int) -> int:
     return -((fact + 1) // p) % p
 
 
+def g1_at(r: int, p: int) -> int:
+    """G1(x) mod p for any p-adic integer x = r (mod p), 0 <= r < p.
+
+    G1(x) = G1(1) + H_{s_p(x)-1}, and s_p(x) - 1 = (r - 1) mod p.
+    """
+    return (g1_of_one(p) + harmonic_mod((r - 1) % p, p)) % p
+
+
 def g1(x: RationalLike, p: int) -> int:
-    """G1(x) mod p via G1(x) = G1(1) + H_{s_p(x)-1}."""
-    return (g1_of_one(p) + harmonic_mod(s_p(Fraction(x), p) - 1, p)) % p
+    """G1(x) mod p, the logarithmic derivative of Gamma_p at x."""
+    return g1_at(least_residue(x, p), p)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import cli
 from supercong.cli import (
     ConfigError,
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
@@ -20,7 +23,9 @@ from supercong.cli import (
     resolve_statements,
     run_scan,
     summarize,
+    write_records,
 )
+from supercong.congruences import FAIL, SKIPPED, ReportRecord, StatementChecker
 
 COLUMNS = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
 
@@ -138,6 +143,47 @@ def test_params_file_scan(tmp_path):
     assert by_a[(2, 1)]["lhs"] == 12
     assert by_a[(1, 5)]["verdict"] == "SKIPPED"
     assert by_a[(1, 5)]["skip_reason"] == "not a p-adic integer"
+
+
+def test_jsonl_lines_equal_json_dumps_of_each_record():
+    checker = StatementChecker(5)
+    records = [
+        checker.check("THM1_A4", Fraction(2)),  # PASS, both sides residues
+        checker.check("THM1_A4", Fraction(1)),  # SKIPPED: parity
+        checker.check("THM1_A4", Fraction(-3, 10)),  # SKIPPED: not a p-adic integer
+        checker.check("CONJ_S1"),  # no parameter
+        ReportRecord("THM2_A5", 5, 2, Fraction(-7, 3), 3, 4, FAIL),
+        ReportRecord("RECURRENCES", None, None, Fraction(12), "A_VANISH[7]=-1/2", "0", FAIL),
+        ReportRecord("B8", None, None, Fraction(0), 'say "\\é"\t', "0", FAIL),  # escapes
+    ]
+    records += cli._identity_records(4)  # exact-rational string sides
+    assert {r.skip_reason for r in records if r.verdict == SKIPPED} == {"parity", "not a p-adic integer"}
+    stream = io.StringIO()
+    write_records(records, "jsonl", stream)
+    assert stream.getvalue().splitlines() == [json.dumps(r.to_dict()) for r in records]
+    assert stream.getvalue().endswith("\n")
+
+
+def _full_key(row: dict) -> tuple:
+    # the report order: statement, then prime, then parameter (records without one first)
+    a = None if row["a_num"] is None else Fraction(row["a_num"], row["a_den"])
+    return (row["statement"], row["p"] or 0, a is not None, a or 0)
+
+
+def test_params_file_out_of_order_is_reported_in_order(tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("7\n-1/3\n3\n-5/2\n0\n7\n2/5\n-1/3\n-4\n1/2\n")
+    argv = ["--primes", "5..13", "--statements", "all", "--n-max", "4", "--params", str(params)]
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report-{jobs}.jsonl"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    keys = [_full_key(json.loads(line)) for line in reports[0].decode().splitlines()]
+    assert all(x < y for x, y in zip(keys, keys[1:]))  # ascending, each key once
+    params_at_5 = [k[3] for k in keys if k[:2] == ("THM1_A4", 5)]
+    assert params_at_5 == sorted({Fraction(t) for t in params.read_text().split()})
 
 
 def test_identity_sweep_records(tmp_path):
@@ -307,6 +353,13 @@ def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):
     conj_bad = records[0].__class__("CONJ_S1", 5, 3, None, 1, 2, "FAIL", None)
     assert cli_mod._exit_code(records + [conj_bad], strict=False) == 0  # finding, not failure
     assert cli_mod._exit_code(records + [conj_bad], strict=True) == 1
+
+
+def test_power_override_keeps_theorem_exit_status(tmp_path):
+    # --power is exploratory, but a theorem that fails under it still exits 1
+    argv = ["--statements", "THM1_A4", "--primes", "5..13", "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv + ["--power", "3"]) == EXIT_FAIL
+    assert main(argv + ["--power", "2"]) == EXIT_OK
 
 
 def test_summary_counts():

@@ -1,10 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from supercong.padic_core import ModulusContext, least_residue, sieve_primes
-from supercong.padic_gamma import GammaEvaluator
+from supercong.padic_core import ModulusContext, least_residue, s_p, sieve_primes
+from supercong.padic_gamma import GammaEvaluator, g1
 from supercong.congruences import (
     FAIL,
     PASS,
@@ -22,6 +23,7 @@ from supercong.congruences import (
     rhs_thm2,
     sample_fractions,
 )
+from test_padic_gamma import gamma_oracle_table  # Gamma_p from its defining product
 
 
 def test_catalog_shape():
@@ -156,6 +158,58 @@ def test_checker_evaluates_each_series_once_per_point(monkeypatch):
     # the shared values are the ones a fresh checker per record computes
     for rec in records[::7]:
         assert rec == StatementChecker(p).check(rec.statement, rec.a)
+
+
+def _lift(x: Fraction, m: int) -> int:
+    # the p-adic integer x mod m, straight from its numerator and denominator
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def _sides(record) -> tuple:
+    return record.lhs, record.rhs
+
+
+def _harmonic_brute(n: int, p: int) -> int:
+    return sum(pow(j, -1, p) for j in range(1, n + 1)) % p
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 31))
+def test_gamma_sides_against_direct_product_oracle(p):
+    # Every Gamma-side value of the checker, and the public rhs_thm1, rhs_thm2
+    # and g1, against Gamma_p from its defining product, Gamma arguments built
+    # as Fractions, and harmonic numbers summed term by term.
+    m2, m3 = p**2, p**3
+    table = {k: gamma_oracle_table(range(p**k), p, p**k) for k in (2, 3)}
+
+    def gamma(x: Fraction, k: int) -> int:
+        return table[k][_lift(x, p**k)]
+
+    g1_one = -((factorial(p - 1) + 1) // p) % p  # minus the Wilson quotient
+
+    def g1_oracle(x: Fraction) -> int:
+        return (g1_one + _harmonic_brute(s_p(x, p) - 1, p)) % p
+
+    sign = (-1) ** ((p + 1) // 2)
+    checker = StatementChecker(p)
+    for a in default_parameters(p, seed=3):
+        r = least_residue(a, p)
+        lemma = (gamma(a + p, 2), gamma(a, 2) * (1 + g1_oracle(a) * p) % m2)
+        assert _sides(checker.check("LEMMA_B5", a)) == lemma, a
+        assert g1(a, p) == g1_oracle(a)
+        if r % 2:
+            continue
+        pair = {k: gamma(-a / 2, k) * gamma((a + 1) / 2, k) for k in (2, 3)}
+        thm1 = sign * gamma(Fraction(1, 2), 2) * pair[2] % m2
+        thm2 = sign * pair[2] ** 2 % m2
+        assert checker.check("THM1_A4", a).rhs == rhs_thm1(a, ModulusContext(p, 2)).value == thm1, a
+        assert checker.check("THM2_A5", a).rhs == rhs_thm2(a, ModulusContext(p, 2)).value == thm2, a
+        assert checker.check("CONJ_S4", a).rhs == sign * pair[3] ** 2 % m3, a
+        hdiff = _harmonic_brute((p - r - 1) // 2, p) - _harmonic_brute(r // 2, p)
+        shift = _lift((a - r) / p, p)  # (a - <a>_p)/p mod p
+        c9 = comb(r, r // 2) * Fraction(-1, 4) ** (r // 2) * (1 + p * Fraction(shift * hdiff, 2))
+        assert checker.check("TRACE_C9", a).rhs == _lift(c9, m2), a
+        c15 = (hdiff + g1_oracle(-a / 2) - g1_oracle((a + 1) / 2)) % p
+        assert _sides(checker.check("TRACE_C15", a)) == (c15, 0), a
 
 
 def test_lemma_b5_statement():

@@ -152,6 +152,8 @@ def test_sweep_identity_reports():
     assert isinstance(report, IdentityReport)
     assert report.passed
     assert (report.n_min, report.n_max) == (0, 40)
+    with pytest.raises(ValueError):
+        sweep_identity("B8", [])  # an empty range certifies nothing
 
 
 def test_sweep_identity_catches_failures(monkeypatch):
