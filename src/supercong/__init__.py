@@ -56,15 +56,13 @@ from .congruences import (
     PASS,
     FAIL,
     SKIPPED,
+    NAMED_RATIONALS,
     STATEMENTS,
     HypothesisFailed,
     ReportRecord,
     StatementChecker,
-    check_c9_trace,
-    check_c15,
     check_statement,
     default_parameters,
-    named_rationals,
     rhs_conj,
     rhs_thm1,
     rhs_thm2,

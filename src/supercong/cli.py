@@ -68,6 +68,7 @@ class ScanConfig:
             raise ConfigError("jobs must be >= 1")
         if self.fmt not in ("jsonl", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        self.statements = list(dict.fromkeys(self.statements))  # one record per (statement, p, a)
         unknown = [s for s in self.statements if s not in STATEMENTS]
         if unknown:
             raise ConfigError(f"unknown statements: {', '.join(unknown)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .padic_core import (
     ModulusContext,
@@ -43,39 +44,21 @@ class HypothesisFailed(PadicError):
 
 @dataclass(frozen=True)
 class Statement:
-    """Catalog entry: modulus power, statement class, hypothesis on (p, a)."""
+    """Catalog entry: modulus power, statement class, hypothesis on (p, a),
+    and ``sides(checker, a, r, k)``, the (lhs, rhs) pair mod p^k."""
 
     id: str
     power: int
     kind: str
     parity: str | None  # required parity of least_residue(a, p), or None
     takes_param: bool
+    sides: Callable[..., tuple[int, int]]
+    fixed_power: bool = False  # checked mod p^power whatever --power says
+    reads_p2: bool = False  # also builds Z/p^2, whatever the comparison power
 
-
-STATEMENTS: dict[str, Statement] = {
-    s.id: s
-    for s in (
-        Statement("SUN_A2", 2, THEOREM, "odd", True),
-        Statement("SUN_A3", 2, THEOREM, "odd", True),
-        Statement("THM1_A4", 2, THEOREM, "even", True),
-        Statement("THM2_A5", 2, THEOREM, "even", True),
-        Statement("THM3_A6", 2, THEOREM, None, True),
-        Statement("LEMMA_B5", 2, THEOREM, None, True),
-        Statement("TRACE_C9", 2, THEOREM, "even", True),
-        Statement("TRACE_C15", 1, THEOREM, "even", True),
-        Statement("CONJ_S1", 3, CONJECTURE, None, False),
-        Statement("CONJ_S2", 3, CONJECTURE, None, False),
-        Statement("CONJ_S3", 3, CONJECTURE, None, False),
-        Statement("CONJ_S4", 3, CONJECTURE, "even", True),
-    )
-}
 
 #: The four classical parameters tied to weight-three modular forms.
 NAMED_RATIONALS = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
-
-
-def named_rationals() -> tuple[Fraction, ...]:
-    return NAMED_RATIONALS
 
 
 @dataclass(frozen=True)
@@ -166,11 +149,11 @@ def rhs_thm2(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | N
     return Residue(_thm2_value(x, evaluator or GammaEvaluator(ctx)), ctx)
 
 
-#: Gamma arguments and rational prefactors of the three fixed conjectures.
+#: Series parameter, Gamma arguments and rational prefactors of the three fixed conjectures.
 _CONJ_DATA = {
-    "CONJ_S1": (Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18)),
-    "CONJ_S2": (Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64)),
-    "CONJ_S3": (Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144)),
+    "CONJ_S1": (Fraction(-1, 3), Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18)),
+    "CONJ_S2": (Fraction(-1, 4), Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64)),
+    "CONJ_S3": (Fraction(-1, 6), Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144)),
 }
 
 
@@ -180,7 +163,7 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
     In the first residue class the value is a signed product of squared Gamma
     values; in the second it carries an explicit p^2 times a unit prefactor.
     """
-    arg1, arg2, mod_base, first_classes, prefactor = _CONJ_DATA[stmt_id]
+    _, arg1, arg2, mod_base, first_classes, prefactor = _CONJ_DATA[stmt_id]
     p, m = ctx.p, ctx.modulus
     ev = evaluator or GammaEvaluator(ctx)
     g = ev.gamma_p(arg1).value * ev.gamma_p(arg2).value % m
@@ -197,17 +180,95 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
     return Residue(sign_second * scale % m * gg % m, ctx)
 
 
+# Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
+# with least residue r that meets the hypothesis.  Series are cached per
+# kernel object and a, the Gamma side works on a's lifts mod p^k.  Each sides
+# function looks the kernels up as module globals when it runs, so that a
+# kernel patched by name (tracing, tests) is the one every statement reads.
+
+
+def _thm1_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    ev = chk.gamma(k)
+    rhs = _thm1_factor(ev) * _gamma_pair(chk.lift(a, k), ev) % ev.ctx.modulus
+    return chk.series(series_2f1_half, a, k), rhs
+
+
+def _thm2_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    return chk.series(series_3f2_one, a, k), _thm2_value(chk.lift(a, k), chk.gamma(k))
+
+
+def _thm3_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    sq = chk.series(series_2f1_half, a, k)
+    return chk.series(series_3f2_one, a, k), sq * sq % chk.ctx(k).modulus
+
+
+def _lemma_b5_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    # First-order perturbation of Gamma_p one step of size p away from a.
+    p, m, ev, x = chk.p, chk.ctx(k).modulus, chk.gamma(k), chk.lift(a, k)
+    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_at(r, p) * p) % m
+
+
+def _trace_c9_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    # The 2F1 against its closed form with first-order p-correction.
+    p, m = chk.p, chk.ctx(k).modulus
+    d = (chk.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
+    hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
+    w = d * hdiff * ((p + 1) // 2) % p
+    rhs = comb(r, r // 2) % m * pow(pow(4, -1, m), r // 2, m) % m
+    rhs = rhs * _sign_value(r // 2, m) % m
+    return chk.series(series_2f1_half, a, k), rhs * (1 + w * p) % m
+
+
+def _trace_c15_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+    # Harmonic/log-derivative cancellation mod p; the G1(1) terms cancel.
+    # The least residues of -a/2 and (a+1)/2 mod p come from r alone.
+    p = chk.p
+    half = (p + 1) // 2  # 2^-1 mod p
+    out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
+    out += g1_at(-r * half % p, p) - g1_at((r + 1) * half % p, p)
+    return out % p, 0
+
+
+def _conj_sides(stmt_id: str):
+    """Sides of CONJ_S1/S2/S3: the 3F2 at the fixed parameter against rhs_conj."""
+
+    def sides(chk: StatementChecker, a: None, r: None, k: int) -> tuple[int, int]:
+        lhs = chk.series(series_3f2_one, _CONJ_DATA[stmt_id][0], k)
+        return lhs, rhs_conj(stmt_id, chk.ctx(k), chk.gamma(k)).value
+
+    return sides
+
+
+STATEMENTS: dict[str, Statement] = {
+    s.id: s
+    for s in (
+        Statement("SUN_A2", 2, THEOREM, "odd", True, lambda chk, a, r, k: (chk.series(series_3f2_one, a, k), 0)),
+        Statement("SUN_A3", 2, THEOREM, "odd", True, lambda chk, a, r, k: (chk.series(series_2f1_half, a, k), 0)),
+        Statement("THM1_A4", 2, THEOREM, "even", True, _thm1_sides),
+        Statement("THM2_A5", 2, THEOREM, "even", True, _thm2_sides),
+        Statement("THM3_A6", 2, THEOREM, None, True, _thm3_sides),
+        Statement("LEMMA_B5", 2, THEOREM, None, True, _lemma_b5_sides),
+        Statement("TRACE_C9", 2, THEOREM, "even", True, _trace_c9_sides, reads_p2=True),
+        # stated mod p only; harmonic and G1 data live there
+        Statement("TRACE_C15", 1, THEOREM, "even", True, _trace_c15_sides, fixed_power=True),
+        Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides("CONJ_S1")),
+        Statement("CONJ_S2", 3, CONJECTURE, None, False, _conj_sides("CONJ_S2")),
+        Statement("CONJ_S3", 3, CONJECTURE, None, False, _conj_sides("CONJ_S3")),
+        Statement("CONJ_S4", 3, CONJECTURE, "even", True, _thm2_sides),
+    )
+}
+
+
 def comparison_power(stmt_id: str, power: int | None = None) -> int:
     """The k of the modulus p^k stmt_id is checked in; ``power`` overrides the catalog."""
-    if stmt_id == "TRACE_C15":
-        return 1  # stated mod p only; harmonic and G1 data live there
-    return STATEMENTS[stmt_id].power if power is None else power
+    st = STATEMENTS[stmt_id]
+    return st.power if power is None or st.fixed_power else power
 
 
 def context_power(stmt_id: str, power: int | None = None) -> int:
     """The largest k of the contexts Z/p^k a check of stmt_id builds."""
     k = comparison_power(stmt_id, power)
-    return max(k, 2) if stmt_id == "TRACE_C9" else k  # its shift quotient is read mod p^2
+    return max(k, 2) if STATEMENTS[stmt_id].reads_p2 else k
 
 
 class StatementChecker:
@@ -225,7 +286,6 @@ class StatementChecker:
         self.max_modulus = max_modulus
         self._ctx: dict[int, ModulusContext] = {}
         self._gamma: dict[int, GammaEvaluator] = {}
-        self._thm1_factors: dict[int, int] = {}
         self._points: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
         self._lifts: dict[tuple[int, int, int], int] = {}
         self._series: dict[tuple, int] = {}
@@ -288,78 +348,14 @@ class StatementChecker:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
         elif a is not None:
             raise ValueError(f"statement {stmt_id} takes no parameter")
-        lhs, rhs = self._evaluate(stmt_id, a, r, k)
+        lhs, rhs = st.sides(self, a, r, k)
         verdict = PASS if lhs == rhs else FAIL
         return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
-
-    def _evaluate(self, stmt_id: str, a: Fraction | None, r: int | None, k: int) -> tuple[int, int]:
-        # Series are evaluated and cached per parameter a; the Gamma side
-        # works on a's lifts mod p^k.
-        m = self.ctx(k).modulus
-        if stmt_id == "SUN_A2":
-            return self.series(series_3f2_one, a, k), 0
-        if stmt_id == "SUN_A3":
-            return self.series(series_2f1_half, a, k), 0
-        if stmt_id == "THM1_A4":
-            ev = self.gamma(k)
-            if k not in self._thm1_factors:
-                self._thm1_factors[k] = _thm1_factor(ev)
-            rhs = self._thm1_factors[k] * _gamma_pair(self.lift(a, k), ev) % m
-            return self.series(series_2f1_half, a, k), rhs
-        if stmt_id in ("THM2_A5", "CONJ_S4"):
-            return self.series(series_3f2_one, a, k), _thm2_value(self.lift(a, k), self.gamma(k))
-        if stmt_id == "THM3_A6":
-            sq = self.series(series_2f1_half, a, k)
-            return self.series(series_3f2_one, a, k), sq * sq % m
-        if stmt_id == "LEMMA_B5":
-            # First-order perturbation of Gamma_p one step of size p away from a.
-            p, ev, x = self.p, self.gamma(k), self.lift(a, k)
-            return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_at(r, p) * p) % m
-        if stmt_id == "TRACE_C9":
-            return self.series(series_2f1_half, a, k), self._rhs_c9(a, r, m)
-        if stmt_id == "TRACE_C15":
-            return self._lhs_c15(r), 0
-        if stmt_id in _CONJ_DATA:
-            named = {"CONJ_S1": Fraction(-1, 3), "CONJ_S2": Fraction(-1, 4), "CONJ_S3": Fraction(-1, 6)}
-            lhs = self.series(series_3f2_one, named[stmt_id], k)
-            return lhs, rhs_conj(stmt_id, self.ctx(k), self.gamma(k)).value
-        raise KeyError(stmt_id)
-
-    def _rhs_c9(self, a: Fraction, r: int, m: int) -> int:
-        # Closed form of the truncated 2F1 with first-order p-correction.
-        p = self.p
-        d = (self.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
-        hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-        w = d * hdiff * ((p + 1) // 2) % p
-        rhs = comb(r, r // 2) % m * pow(pow(4, -1, m), r // 2, m) % m
-        rhs = rhs * _sign_value(r // 2, m) % m
-        return rhs * (1 + w * p) % m
-
-    def _lhs_c15(self, r: int) -> int:
-        # Harmonic/log-derivative cancellation mod p; the G1(1) terms cancel.
-        # The least residues of -a/2 and (a+1)/2 mod p come from r alone.
-        p = self.p
-        half = (p + 1) // 2  # 2^-1 mod p
-        out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-        out += g1_at(-r * half % p, p) - g1_at((r + 1) * half % p, p)
-        return out % p
 
 
 def check_statement(stmt_id: str, p: int, a: RationalLike | None = None) -> ReportRecord:
     """One-off statement check; scans should reuse a StatementChecker per prime."""
     return StatementChecker(p).check(stmt_id, a)
-
-
-def check_c9_trace(a: RationalLike, p: int) -> ReportRecord:
-    """Truncated 2F1 against its closed form with the first-order p-correction
-    in the shift quotient; even least residues only (SKIPPED otherwise)."""
-    return check_statement("TRACE_C9", p, a)
-
-
-def check_c15(a: RationalLike, p: int) -> ReportRecord:
-    """Mod-p cancellation of harmonic differences against log-derivative
-    differences of Gamma_p; even least residues only (SKIPPED otherwise)."""
-    return check_statement("TRACE_C15", p, a)
 
 
 # ---------------------------------------------------------------------------

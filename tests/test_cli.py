@@ -76,6 +76,13 @@ def test_scan_config_validation():
         ScanConfig(lo=5, hi=10, statements=[], run_identities=False, fmt="xml")
 
 
+def test_repeated_statement_ids_give_one_record_per_point():
+    config = ScanConfig(lo=5, hi=5, statements=["SUN_A2", "SUN_A2"], run_identities=False)
+    assert config.statements == ["SUN_A2"]
+    records = collect_records(config)
+    assert len(records) == len({(r.statement, r.p, r.a) for r in records}) == 29
+
+
 def test_small_scan_jsonl(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["--primes", "5..11", "--statements", "THM1_A4", "--out", str(out)])

@@ -14,9 +14,8 @@ from supercong.congruences import (
     STATEMENTS,
     HypothesisFailed,
     StatementChecker,
-    check_c9_trace,
-    check_c15,
     check_statement,
+    context_power,
     default_parameters,
     rhs_conj,
     rhs_thm1,
@@ -110,13 +109,8 @@ def test_trace_checks():
     assert check_statement("TRACE_C15", 11, Fraction(2)).verdict == PASS
     assert check_statement("TRACE_C15", 13, Fraction(-1, 6)).verdict == PASS
     assert check_statement("TRACE_C15", 7, Fraction(0)).verdict == PASS
-
-
-def test_trace_wrappers():
-    assert check_c9_trace(Fraction(-1, 3), 7).verdict == PASS
-    assert check_c15(Fraction(-1, 6), 13).verdict == PASS
-    assert check_c9_trace(Fraction(1), 7).verdict == SKIPPED
-    assert check_c15(Fraction(1), 7).skip_reason == "parity"
+    assert check_statement("TRACE_C9", 7, Fraction(1)).verdict == SKIPPED
+    assert check_statement("TRACE_C15", 7, Fraction(1)).skip_reason == "parity"
 
 
 def test_trace_c9_integer_parameter_reduces_to_exact_value():
@@ -158,6 +152,41 @@ def test_checker_evaluates_each_series_once_per_point(monkeypatch):
     # the shared values are the ones a fresh checker per record computes
     for rec in records[::7]:
         assert rec == StatementChecker(p).check(rec.statement, rec.a)
+
+
+def test_each_statement_reads_its_kernels(monkeypatch):
+    # The sides look the kernels up by name when they run; a row holding a
+    # kernel object from import time would bypass the patched name, and the
+    # series cache, keyed by kernel object, would evaluate that series twice.
+    import supercong.congruences as congruences
+
+    f2, f3 = "series_2f1_half", "series_3f2_one"
+    expected = {
+        "SUN_A2": {f3}, "THM2_A5": {f3}, "CONJ_S1": {f3}, "CONJ_S2": {f3}, "CONJ_S3": {f3}, "CONJ_S4": {f3},
+        "SUN_A3": {f2}, "THM1_A4": {f2}, "TRACE_C9": {f2},
+        "THM3_A6": {f2, f3},
+        "LEMMA_B5": set(), "TRACE_C15": set(),
+    }
+    assert set(expected) == set(STATEMENTS)
+    reached = set()
+
+    def counting(name):
+        kernel = getattr(congruences, name)
+
+        def counted(a, ctx):
+            reached.add(name)
+            return kernel(a, ctx)
+
+        return counted
+
+    for name in (f2, f3):
+        monkeypatch.setattr(congruences, name, counting(name))
+    for stmt, kernels in expected.items():
+        st = STATEMENTS[stmt]
+        a = Fraction(1 if st.parity == "odd" else 2) if st.takes_param else None  # meets the hypothesis
+        reached.clear()
+        assert StatementChecker(13).check(stmt, a).verdict == PASS
+        assert reached == kernels, stmt
 
 
 def _lift(x: Fraction, m: int) -> int:
@@ -277,6 +306,16 @@ def test_power_override():
     assert weak.k == 1
     assert weak.verdict == PASS
     assert weak.lhs == rec.lhs % 7
+    # TRACE_C15 is stated mod p whatever the override; TRACE_C9 compares mod p^k
+    # but reads its shift quotient mod p^2 even at k = 1
+    checker = StatementChecker(13)
+    assert checker.check("TRACE_C15", 2, power=3).k == 1
+    a = Fraction(-1, 3)  # least residue 4 at p = 13
+    weak, full = checker.check("TRACE_C9", a, power=1), checker.check("TRACE_C9", a)
+    assert (weak.k, full.k) == (1, 2)
+    assert (weak.lhs, weak.rhs) == (full.lhs % 13, full.rhs % 13)
+    assert context_power("TRACE_C9", 1) == 2 and context_power("TRACE_C15", 3) == 1
+    assert context_power("THM1_A4", 1) == 1
 
 
 def test_record_serialization():
