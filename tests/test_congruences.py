@@ -109,6 +109,12 @@ def test_trace_checks():
     assert check_statement("TRACE_C15", 11, Fraction(2)).verdict == PASS
     assert check_statement("TRACE_C15", 13, Fraction(-1, 6)).verdict == PASS
     assert check_statement("TRACE_C15", 7, Fraction(0)).verdict == PASS
+
+
+def test_trace_wrappers():
+    # the cases of the removed check_c9_trace / check_c15, through check_statement
+    assert check_statement("TRACE_C9", 7, Fraction(-1, 3)).verdict == PASS
+    assert check_statement("TRACE_C15", 13, Fraction(-1, 6)).verdict == PASS
     assert check_statement("TRACE_C9", 7, Fraction(1)).verdict == SKIPPED
     assert check_statement("TRACE_C15", 7, Fraction(1)).skip_reason == "parity"
 
