@@ -13,29 +13,20 @@ from .padic_core import (
     NotInvertible,
     NotPAdicInteger,
     PadicError,
-    PRational,
     Residue,
-    delta,
     harmonic_mod,
-    has_even_residue,
     is_prime,
     least_residue,
-    mod_inverse,
     reduce_rational,
-    s_p,
     sieve_primes,
 )
 from .padic_gamma import GammaEvaluator, g1, g1_of_one
 from .hyperseries import (
     LowerParameterPole,
-    NonUnitDenominator,
     SeriesSpec,
-    pochhammer_exact,
-    pochhammer_mod,
     series_2f1_half,
     series_3f2_one,
     truncated_pfq_exact,
-    truncated_pfq_mod,
 )
 from .identities import (
     IdentityCheck,
@@ -58,14 +49,11 @@ from .congruences import (
     SKIPPED,
     NAMED_RATIONALS,
     STATEMENTS,
-    HypothesisFailed,
     ReportRecord,
     StatementChecker,
     check_statement,
     default_parameters,
     rhs_conj,
-    rhs_thm1,
-    rhs_thm2,
     sample_fractions,
 )
 

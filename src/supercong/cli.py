@@ -104,6 +104,8 @@ def resolve_statements(selection: str) -> tuple[list[str], bool]:
     """Expand a comma-separated list of ids and group names.
 
     Returns the congruence statement ids plus a flag for the identity sweep.
+    Ids are passed through as given: ScanConfig drops repeats and refuses
+    unknown ids.
     """
     ids: list[str] = []
     run_identities = False
@@ -122,11 +124,7 @@ def resolve_statements(selection: str) -> tuple[list[str], bool]:
             run_identities = True
         else:
             ids.append(token)
-    deduped = list(dict.fromkeys(ids))
-    unknown = [s for s in deduped if s not in STATEMENTS]
-    if unknown:
-        raise ConfigError(f"unknown statements: {', '.join(unknown)}")
-    return deduped, run_identities
+    return ids, run_identities
 
 
 def _scan_prime(task: tuple) -> list[ReportRecord]:
@@ -198,7 +196,8 @@ def collect_records(config: ScanConfig) -> list[ReportRecord]:
             for p in reversed(primes)
         ]
         if config.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            # under fork the pool starts every worker up front: no more than there are tasks
+            with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
                 for batch in pool.map(_scan_prime, tasks):
                     records.extend(batch)
         else:

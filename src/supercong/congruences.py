@@ -15,12 +15,10 @@ from typing import Callable
 
 from .padic_core import (
     ModulusContext,
-    PadicError,
     RationalLike,
     Residue,
     harmonic_mod,
     least_residue,
-    reduce_rational,
     DEFAULT_MAX_MODULUS,
 )
 from .padic_gamma import GammaEvaluator, g1_at
@@ -32,14 +30,6 @@ SKIPPED = "SKIPPED"
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
-
-
-class HypothesisFailed(PadicError):
-    """A statement hypothesis (parity, residue class) does not hold."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -102,13 +92,6 @@ def _minus_half_sign(p: int, modulus: int) -> int:
     return _sign_value((p - 1) // 2, modulus)
 
 
-def _even_lift(a: RationalLike, ctx: ModulusContext) -> int:
-    """a mod p^k, once the THM1/THM2 hypothesis (even least_residue(a, p)) holds."""
-    if least_residue(a, ctx.p) % 2:
-        raise HypothesisFailed("parity")
-    return reduce_rational(a, ctx).value
-
-
 def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
     """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k, from the lift x of a mod p^k."""
     m = ev.ctx.modulus
@@ -116,44 +99,20 @@ def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
     return ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
 
 
-def _thm1_factor(ev: GammaEvaluator) -> int:
-    """(-1)^((p+1)/2) Gamma_p(1/2) mod p^k, the part of rhs_thm1 free of a."""
-    m = ev.ctx.modulus
-    return _plus_half_sign(ev.ctx.p, m) * ev.gamma_at((m + 1) // 2) % m
+def _minus_one(p: int, modulus: int) -> int:
+    return modulus - 1
 
 
-def _thm2_value(x: int, ev: GammaEvaluator) -> int:
-    """(-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2 mod p^k, from the lift x of a."""
-    m = ev.ctx.modulus
-    g = _gamma_pair(x, ev)
-    return _plus_half_sign(ev.ctx.p, m) * g % m * g % m
-
-
-def rhs_thm1(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | None = None) -> Residue:
-    """(-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2) in Z/p^k.
-
-    Requires even least_residue(a, p).
-    """
-    x = _even_lift(a, ctx)
-    ev = evaluator or GammaEvaluator(ctx)
-    return Residue(_thm1_factor(ev) * _gamma_pair(x, ev) % ctx.modulus, ctx)
-
-
-def rhs_thm2(a: RationalLike, ctx: ModulusContext, evaluator: GammaEvaluator | None = None) -> Residue:
-    """(-1)^((p+1)/2) Gamma_p(-a/2)^2 Gamma_p((a+1)/2)^2 in Z/p^k.
-
-    Requires even least_residue(a, p).  Used both mod p^2 and, for the
-    conjectural strengthening, mod p^3.
-    """
-    x = _even_lift(a, ctx)
-    return Residue(_thm2_value(x, evaluator or GammaEvaluator(ctx)), ctx)
-
-
-#: Series parameter, Gamma arguments and rational prefactors of the three fixed conjectures.
+#: Per fixed conjecture: series parameter, Gamma arguments, the modulus and
+#: residue classes of p in its first case, the rational prefactor of p^2 in its
+#: second case, and the sign rule (p, p^k) -> +-1 mod p^k of each case.
 _CONJ_DATA = {
-    "CONJ_S1": (Fraction(-1, 3), Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18)),
-    "CONJ_S2": (Fraction(-1, 4), Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64)),
-    "CONJ_S3": (Fraction(-1, 6), Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144)),
+    "CONJ_S1": (Fraction(-1, 3), Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18),
+                _plus_half_sign, _minus_half_sign),
+    "CONJ_S2": (Fraction(-1, 4), Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64),
+                _plus_half_sign, _minus_half_sign),
+    "CONJ_S3": (Fraction(-1, 6), Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144),
+                _minus_one, _minus_one),
 }
 
 
@@ -163,21 +122,15 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
     In the first residue class the value is a signed product of squared Gamma
     values; in the second it carries an explicit p^2 times a unit prefactor.
     """
-    _, arg1, arg2, mod_base, first_classes, prefactor = _CONJ_DATA[stmt_id]
+    _, arg1, arg2, mod_base, first_classes, prefactor, sign_first, sign_second = _CONJ_DATA[stmt_id]
     p, m = ctx.p, ctx.modulus
     ev = evaluator or GammaEvaluator(ctx)
     g = ev.gamma_p(arg1).value * ev.gamma_p(arg2).value % m
     gg = g * g % m
-    if stmt_id == "CONJ_S3":
-        sign_first = m - 1
-        sign_second = m - 1
-    else:
-        sign_first = _plus_half_sign(p, m)
-        sign_second = _minus_half_sign(p, m)
     if p % mod_base in first_classes:
-        return Residue(sign_first * gg % m, ctx)
+        return Residue(sign_first(p, m) * gg % m, ctx)
     scale = p * p % m * pow(prefactor.denominator, -1, m) % m * prefactor.numerator % m
-    return Residue(sign_second * scale % m * gg % m, ctx)
+    return Residue(sign_second(p, m) * scale % m * gg % m, ctx)
 
 
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
@@ -188,13 +141,17 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
 
 
 def _thm1_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
-    ev = chk.gamma(k)
-    rhs = _thm1_factor(ev) * _gamma_pair(chk.lift(a, k), ev) % ev.ctx.modulus
-    return chk.series(series_2f1_half, a, k), rhs
+    # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
+    ev, m = chk.gamma(k), chk.ctx(k).modulus
+    free_of_a = _plus_half_sign(chk.p, m) * ev.gamma_at((m + 1) // 2) % m
+    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(chk.lift(a, k), ev) % m
 
 
 def _thm2_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
-    return chk.series(series_3f2_one, a, k), _thm2_value(chk.lift(a, k), chk.gamma(k))
+    # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S4, mod p^3
+    m = chk.ctx(k).modulus
+    g = _gamma_pair(chk.lift(a, k), chk.gamma(k))
+    return chk.series(series_3f2_one, a, k), _plus_half_sign(chk.p, m) * g % m * g % m
 
 
 def _thm3_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:

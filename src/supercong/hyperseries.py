@@ -1,10 +1,9 @@
-"""Pochhammer symbols and truncated pFq series, exact and mod p^k.
+"""Truncated pFq series: exactly over the rationals, and the catalog's two mod p^k.
 
 The truncated series sum_{k=0..N} (a_1)_k ... (a_r)_k / ((b_1)_k ... (b_s)_k)
-* z^k / k! is evaluated either over exact rationals or in Z/p^k.  Modular
-evaluation multiplies each term ratio by unit inverses only: lower-parameter
-factors and k+1 must be units mod p, which is checked as the sum runs.  The
-two series the catalog checks share one kernel driven by per-(p, k) tables.
+* z^k / k! is evaluated over exact rationals for the identity sweep.  The two
+series the catalog checks share one kernel in Z/p^k driven by per-(p, k)
+tables, whose denominators are the units 1..p-1.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .padic_core import (
     PadicError,
     RationalLike,
     Residue,
-    _inv_int,
     reduce_rational,
     unit_inverse_table,
 )
@@ -27,33 +25,6 @@ from .padic_core import (
 
 class LowerParameterPole(PadicError):
     """A lower parameter is zero or a negative integer, so a term divides by zero."""
-
-
-class NonUnitDenominator(PadicError):
-    """A modular term ratio would divide by a multiple of p."""
-
-
-def pochhammer_exact(a: RationalLike, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer index must be >= 0")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def pochhammer_mod(a: RationalLike, k: int, ctx: ModulusContext) -> Residue:
-    """(a)_k reduced in Z/p^k, computed factor by factor."""
-    if k < 0:
-        raise ValueError("pochhammer index must be >= 0")
-    m = ctx.modulus
-    start = reduce_rational(a, ctx).value
-    out = 1
-    for i in range(k):
-        out = out * ((start + i) % m) % m
-    return Residue(out, ctx)
 
 
 @dataclass(frozen=True)
@@ -103,36 +74,6 @@ def truncated_pfq_exact(spec: SeriesSpec) -> Fraction:
         total = total * den + term
         denom *= den
     return Fraction(total, denom)
-
-
-def truncated_pfq_mod(spec: SeriesSpec, ctx: ModulusContext) -> Residue:
-    """The truncated series reduced in Z/p^k, term by term.
-
-    Every parameter and z must be a p-adic integer.  Raises
-    NonUnitDenominator when a lower-parameter factor or k+1 is divisible by p
-    within the truncation range (in particular whenever n_terms >= p).
-    """
-    p, m = ctx.p, ctx.modulus
-    ups = [reduce_rational(a, ctx).value for a in spec.upper]
-    lows = [reduce_rational(b, ctx).value for b in spec.lower]
-    z = reduce_rational(spec.z, ctx).value
-    total = 1
-    term = 1
-    for k in range(spec.n_terms):
-        if (k + 1) % p == 0:
-            raise NonUnitDenominator(f"factorial factor {k + 1} divisible by p={p}")
-        den = k + 1
-        for b in lows:
-            f = (b + k) % m
-            if f % p == 0:
-                raise NonUnitDenominator(f"lower-parameter factor at k={k} divisible by p={p}")
-            den = den * f % m
-        num = z
-        for a in ups:
-            num = num * ((a + k) % m) % m
-        term = term * num % m * _inv_int(den, m) % m
-        total = (total + term) % m
-    return Residue(total, ctx)
 
 
 @lru_cache(maxsize=2)

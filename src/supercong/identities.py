@@ -188,9 +188,6 @@ _CHECKERS = {
     "GAUSS_HALF": check_gauss_half,
 }
 
-#: Identity ids accepted by sweep_identity, besides RECURRENCES.
-IDENTITY_IDS = tuple(_CHECKERS) + ("RECURRENCES",)
-
 
 def sweep_identity(identity: str, n_values) -> IdentityReport:
     """Run one identity over the given n values, reporting the first failure.

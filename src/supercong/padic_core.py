@@ -1,9 +1,8 @@
 """Exact arithmetic in Z/p^k for primes p >= 5.
 
 Residues are canonical representatives in [0, p^k).  Rational parameters are
-plain ``fractions.Fraction`` values (exported as :data:`PRational`); a rational
-is usable at a prime p only when p does not divide its denominator, i.e. when
-it is a p-adic integer.
+plain ``fractions.Fraction`` values; a rational is usable at a prime p only
+when p does not divide its denominator, i.e. when it is a p-adic integer.
 """
 
 from __future__ import annotations
@@ -12,11 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
-
-#: Exact rational parameter type.  ``fractions.Fraction`` already guarantees
-#: the invariants we need: gcd-reduced, positive denominator, sign in the
-#: numerator.
-PRational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -103,7 +97,8 @@ class ModulusContext:
 class Residue:
     """Canonical representative in [0, modulus) of an element of Z/p^k.
 
-    Arithmetic is closed within a single context; mixing contexts is an error.
+    A value holder: the kernels and the Gamma evaluator return one, and
+    callers read ``.value``.
     """
 
     value: int
@@ -112,31 +107,6 @@ class Residue:
     def __post_init__(self) -> None:
         if not 0 <= self.value < self.ctx.modulus:
             raise ValueError(f"value {self.value} out of range [0, {self.ctx.modulus})")
-
-    def _coerce(self, other: "Residue | int") -> int:
-        if isinstance(other, Residue):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed-context residue arithmetic")
-            return other.value
-        return other % self.ctx.modulus
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        return Residue((self.value + self._coerce(other)) % self.ctx.modulus, self.ctx)
-
-    def __sub__(self, other: "Residue | int") -> "Residue":
-        return Residue((self.value - self._coerce(other)) % self.ctx.modulus, self.ctx)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value * self._coerce(other) % self.ctx.modulus, self.ctx)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.ctx.modulus, self.ctx)
-
-    def __pow__(self, e: int) -> "Residue":
-        return Residue(pow(self.value, e, self.ctx.modulus), self.ctx)
 
     def __repr__(self) -> str:
         return f"Residue({self.value} mod {self.ctx.modulus})"
@@ -148,11 +118,6 @@ def _inv_int(v: int, modulus: int) -> int:
         return pow(v, -1, modulus)
     except ValueError:
         raise NotInvertible(f"{v} is not invertible mod {modulus}") from None
-
-
-def mod_inverse(x: Residue) -> Residue:
-    """Multiplicative inverse in Z/p^k; raises NotInvertible when p | x."""
-    return Residue(_inv_int(x.value, x.ctx.modulus), x.ctx)
 
 
 def _check_p_adic(a: Fraction, p: int) -> None:
@@ -173,17 +138,6 @@ def least_residue(a: RationalLike, p: int) -> int:
     a = Fraction(a)
     _check_p_adic(a, p)
     return a.numerator * _inv_int(a.denominator % p, p) % p
-
-
-def has_even_residue(a: RationalLike, p: int) -> bool:
-    """Parity predicate on least_residue(a, p); gates most statements."""
-    return least_residue(a, p) % 2 == 0
-
-
-def s_p(x: RationalLike, p: int) -> int:
-    """Representative of x mod p in {1, ..., p}: least_residue, with 0 mapped to p."""
-    r = least_residue(x, p)
-    return r if r != 0 else p
 
 
 @lru_cache(maxsize=256)
@@ -208,21 +162,6 @@ def harmonic_mod(n: int, p: int) -> int:
     if not 0 <= n < p:
         raise IndexOutOfRange(f"harmonic index {n} outside [0, {p})")
     return _harmonic_table(p)[n]
-
-
-def delta(a: RationalLike, ctx: ModulusContext) -> Residue:
-    """The p-adic integer (a - least_residue(a, p)) / p, reduced mod p^(k-1).
-
-    Requires k >= 2 so the quotient is visible in the context.
-    """
-    if ctx.k < 2:
-        raise ValueError("delta needs a context with k >= 2")
-    a = Fraction(a)
-    r = least_residue(a, ctx.p)
-    lifted = reduce_rational(a, ctx).value
-    quotient_ctx = ModulusContext(ctx.p, ctx.k - 1, max_modulus=ctx.max_modulus)
-    # lifted = a mod p^k and lifted = r (mod p), so the difference is divisible by p.
-    return Residue((lifted - r) // ctx.p % quotient_ctx.modulus, quotient_ctx)
 
 
 @lru_cache(maxsize=64)

@@ -12,11 +12,10 @@ from supercong.padic_core import (
     ModulusContext,
     least_residue,
     reduce_rational,
-    s_p,
     sieve_primes,
 )
 from supercong.padic_gamma import GammaEvaluator, g1
-from supercong.hyperseries import pochhammer_mod, series_2f1_half, series_3f2_one
+from supercong.hyperseries import series_2f1_half, series_3f2_one
 from supercong.identities import (
     check_b8,
     check_b9,
@@ -31,11 +30,12 @@ from supercong.congruences import (
     SKIPPED,
     NAMED_RATIONALS,
     StatementChecker,
-    rhs_thm1,
-    rhs_thm2,
+    check_statement,
     sample_fractions,
     _splitmix64,
 )
+from test_hyperseries import pochhammer_mod  # (x)_n factor by factor
+from test_padic_core import s_p
 
 SEED = 42
 
@@ -223,7 +223,7 @@ def test_criterion_9_conjecture_evidence():
     start = time.perf_counter()
     findings = []
     s4_checked = 0
-    for p in sieve_primes(5, 97):
+    for p in sieve_primes(5, 199):
         checker = StatementChecker(p)
         second_class = {"CONJ_S1": p % 6 == 5, "CONJ_S2": p % 8 in (5, 7), "CONJ_S3": p % 4 == 3}
         for stmt in ("CONJ_S1", "CONJ_S2", "CONJ_S3"):
@@ -232,15 +232,14 @@ def test_criterion_9_conjecture_evidence():
                 findings.append(rec)
             if second_class[stmt] and rec.lhs % (p * p) != 0:
                 findings.append((rec, "second-class value not divisible by p^2"))
-        if p <= 61:
-            for a in sample_fractions(p, 20, SEED, parity="even"):
-                rec = checker.check("CONJ_S4", a)
-                s4_checked += 1
-                if rec.verdict != PASS:
-                    findings.append(rec)
+        for a in sample_fractions(p, 20, SEED, parity="even"):
+            rec = checker.check("CONJ_S4", a)
+            s4_checked += 1
+            if rec.verdict != PASS:
+                findings.append(rec)
     elapsed = time.perf_counter() - start
-    ok = not findings and elapsed < 600 and s4_checked == 20 * len(sieve_primes(5, 61))
-    _report(9, ok, f"mod p^3 conjecture evidence (non-blocking; {s4_checked} parameterized checks)", elapsed)
+    ok = not findings and elapsed < 600 and s4_checked == 20 * len(sieve_primes(5, 199))
+    _report(9, ok, f"mod p^3 conjecture evidence, primes to 199 (non-blocking; {s4_checked} parameterized checks)", elapsed)
     # A failure here would be a *finding* about the conjectures, surfaced loudly.
     assert not findings, f"conjecture findings: {findings[:5]}"
     assert elapsed < 600, f"conjecture scan took {elapsed:.1f}s"
@@ -252,8 +251,10 @@ def test_criterion_10_spot_values():
     ok = True
     ok &= series_2f1_half(2, ctx).value == 12
     ok &= series_3f2_one(2, ctx).value == 19
-    ok &= rhs_thm1(Fraction(2), ctx).value == 12
-    ok &= rhs_thm2(Fraction(2), ctx).value == 19
+    thm1_rhs = check_statement("THM1_A4", 5, Fraction(2)).rhs
+    thm2_rhs = check_statement("THM2_A5", 5, Fraction(2)).rhs
+    ok &= thm1_rhs == 12
+    ok &= thm2_rhs == 19
     gamma_at_one = all(
         GammaEvaluator(ModulusContext(p, 2)).gamma_p(1).value == p * p - 1
         for p in sieve_primes(5, 199)
@@ -263,6 +264,6 @@ def test_criterion_10_spot_values():
     _report(10, bool(ok), "frozen spot values at (p=5, a=2) and value at 1 across primes", elapsed)
     assert series_2f1_half(2, ctx).value == 12
     assert series_3f2_one(2, ctx).value == 19
-    assert rhs_thm1(Fraction(2), ctx).value == 12
-    assert rhs_thm2(Fraction(2), ctx).value == 19
+    assert thm1_rhs == 12
+    assert thm2_rhs == 19
     assert gamma_at_one

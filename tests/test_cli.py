@@ -18,6 +18,7 @@ from supercong.cli import (
     ScanConfig,
     build_parser,
     collect_records,
+    config_from_args,
     main,
     parse_params,
     resolve_statements,
@@ -61,10 +62,17 @@ def test_resolve_statements_groups():
     assert ids == [] and idents is True
     ids, idents = resolve_statements("all")
     assert len(ids) == 12 and idents is True
-    ids, _ = resolve_statements("THM1_A4, SUN_A2,THM1_A4")
-    assert ids == ["THM1_A4", "SUN_A2"]  # deduplicated, order kept
-    with pytest.raises(ConfigError):
-        resolve_statements("NOT_A_STATEMENT")
+    ids, _ = resolve_statements("THM1_A4, SUN_A2,THM1_A4,NOT_A_STATEMENT")
+    assert ids == ["THM1_A4", "SUN_A2", "THM1_A4", "NOT_A_STATEMENT"]  # checked by ScanConfig
+
+
+def test_statement_selection_is_checked_by_scan_config(capsys):
+    args = build_parser().parse_args(["--statements", "THM1_A4, SUN_A2,THM1_A4,theorems"])
+    assert config_from_args(args).statements == [  # deduplicated, first-seen order kept
+        "THM1_A4", "SUN_A2", "SUN_A3", "THM2_A5", "THM3_A6", "LEMMA_B5", "TRACE_C9", "TRACE_C15",
+    ]
+    assert main(["--statements", "THM1_A4,NOT_A_STATEMENT,NOT_A_STATEMENT"]) == EXIT_USAGE
+    assert _usage_error_line(capsys) == "error: unknown statements: NOT_A_STATEMENT\n"
 
 
 def test_scan_config_validation():
@@ -125,6 +133,32 @@ def test_determinism_across_jobs(tmp_path):
     assert main(argv + ["--out", str(out1), "--jobs", "1"]) == EXIT_OK
     assert main(argv + ["--out", str(out2), "--jobs", "3"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("jobs, workers", [("4000", 4), ("2", 2)])
+def test_pool_workers_bounded_by_prime_tasks(tmp_path, monkeypatch, jobs, workers):
+    # a fork pool starts all max_workers at once: one task per prime caps it
+    sizes = []
+
+    class InlinePool:  # records max_workers, runs the tasks in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    argv = ["--primes", "5..13", "--statements", "CONJ_S1,SUN_A2"]
+    assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / "pool.jsonl")]) == EXIT_OK
+    assert sizes == [workers]
+    assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "serial.jsonl")]) == EXIT_OK
+    assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
 
 def test_seed_changes_report(tmp_path):

@@ -4,24 +4,23 @@ from math import comb, factorial
 
 import pytest
 
-from supercong.padic_core import ModulusContext, least_residue, s_p, sieve_primes
-from supercong.padic_gamma import GammaEvaluator, g1
+from supercong.padic_core import ModulusContext, least_residue, sieve_primes
+from supercong.padic_gamma import g1
+from supercong.hyperseries import series_2f1_half
 from supercong.congruences import (
     FAIL,
     PASS,
     SKIPPED,
     NAMED_RATIONALS,
     STATEMENTS,
-    HypothesisFailed,
     StatementChecker,
     check_statement,
     context_power,
     default_parameters,
     rhs_conj,
-    rhs_thm1,
-    rhs_thm2,
     sample_fractions,
 )
+from test_padic_core import s_p
 from test_padic_gamma import gamma_oracle_table  # Gamma_p from its defining product
 
 
@@ -45,41 +44,30 @@ def test_spot_examples():
     rec = check_statement("THM2_A5", 5, 2)
     assert rec.verdict == PASS and rec.lhs == rec.rhs == 19
 
-    rec = check_statement("THM1_A4", 7, Fraction(-1, 2))
-    assert rec.verdict == SKIPPED and rec.skip_reason == "parity"
-    assert rec.lhs is None and rec.rhs is None
+    for stmt, a in (("THM1_A4", Fraction(-1, 2)), ("THM2_A5", Fraction(1))):  # least residues 3 and 1
+        rec = check_statement(stmt, 7, a)
+        assert rec.verdict == SKIPPED and rec.skip_reason == "parity"
+        assert rec.lhs is None and rec.rhs is None
 
 
 def test_rhs_thm1_values():
     # a = 0 collapses to Gamma_p(1/2)^2 times the matching sign, i.e. 1
     for p in (5, 7, 11, 13):
-        ctx = ModulusContext(p, 2)
-        assert rhs_thm1(Fraction(0), ctx).value == 1
-        assert rhs_thm2(Fraction(0), ctx).value == 1
-    assert rhs_thm1(Fraction(2), ModulusContext(5, 2)).value == 12
+        assert check_statement("THM1_A4", p, 0).rhs == 1
+        assert check_statement("THM2_A5", p, 0).rhs == 1
+    assert check_statement("THM1_A4", 5, 2).rhs == 12
     # both-sides agreement at a fractional parameter
-    from supercong.hyperseries import series_2f1_half
-
-    ctx7 = ModulusContext(7, 2)
-    assert rhs_thm1(Fraction(-1, 3), ctx7) == series_2f1_half(Fraction(-1, 3), ctx7)
-
-
-def test_rhs_thm_parity_hypothesis():
-    ctx = ModulusContext(7, 2)
-    with pytest.raises(HypothesisFailed):
-        rhs_thm1(Fraction(-1, 2), ctx)  # least residue 3, odd
-    with pytest.raises(HypothesisFailed):
-        rhs_thm2(Fraction(1), ctx)
+    rhs = check_statement("THM1_A4", 7, Fraction(-1, 3)).rhs
+    assert rhs == series_2f1_half(Fraction(-1, 3), ModulusContext(7, 2)).value
 
 
 def test_rhs_thm2_is_square_of_thm1_up_to_half_gamma():
-    # internal consistency: rhs_thm2 = rhs_thm1^2 mod p^2, by the half-value square
+    # internal consistency: THM2's rhs = THM1's rhs^2 mod p^2, by the half-value square
     for p in (5, 7, 13, 17):
-        ctx = ModulusContext(p, 2)
-        ev = GammaEvaluator(ctx)
+        checker = StatementChecker(p)
         for a in (Fraction(0), Fraction(2), Fraction(4)):
-            t1 = rhs_thm1(a, ctx, ev).value
-            assert rhs_thm2(a, ctx, ev).value == t1 * t1 % ctx.modulus
+            t1 = checker.check("THM1_A4", a).rhs
+            assert checker.check("THM2_A5", a).rhs == t1 * t1 % (p * p)
 
 
 def test_thm3_passes_both_parities():
@@ -210,9 +198,9 @@ def _harmonic_brute(n: int, p: int) -> int:
 
 @pytest.mark.parametrize("p", sieve_primes(5, 31))
 def test_gamma_sides_against_direct_product_oracle(p):
-    # Every Gamma-side value of the checker, and the public rhs_thm1, rhs_thm2
-    # and g1, against Gamma_p from its defining product, Gamma arguments built
-    # as Fractions, and harmonic numbers summed term by term.
+    # Every Gamma-side value of the checker, and the public g1, against Gamma_p
+    # from its defining product, Gamma arguments built as Fractions, and
+    # harmonic numbers summed term by term.
     m2, m3 = p**2, p**3
     table = {k: gamma_oracle_table(range(p**k), p, p**k) for k in (2, 3)}
 
@@ -236,8 +224,8 @@ def test_gamma_sides_against_direct_product_oracle(p):
         pair = {k: gamma(-a / 2, k) * gamma((a + 1) / 2, k) for k in (2, 3)}
         thm1 = sign * gamma(Fraction(1, 2), 2) * pair[2] % m2
         thm2 = sign * pair[2] ** 2 % m2
-        assert checker.check("THM1_A4", a).rhs == rhs_thm1(a, ModulusContext(p, 2)).value == thm1, a
-        assert checker.check("THM2_A5", a).rhs == rhs_thm2(a, ModulusContext(p, 2)).value == thm2, a
+        assert checker.check("THM1_A4", a).rhs == thm1, a
+        assert checker.check("THM2_A5", a).rhs == thm2, a
         assert checker.check("CONJ_S4", a).rhs == sign * pair[3] ** 2 % m3, a
         hdiff = _harmonic_brute((p - r - 1) // 2, p) - _harmonic_brute(r // 2, p)
         shift = _lift((a - r) / p, p)  # (a - <a>_p)/p mod p

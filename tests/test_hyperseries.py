@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong.congruences import NAMED_RATIONALS
-from supercong.padic_core import ModulusContext, NotPAdicInteger, reduce_rational, sieve_primes
+from supercong.padic_core import ModulusContext, NotPAdicInteger, Residue, reduce_rational, sieve_primes
 from supercong.hyperseries import (
     LowerParameterPole,
-    NonUnitDenominator,
     SeriesSpec,
-    pochhammer_exact,
-    pochhammer_mod,
     series_2f1_half,
     series_3f2_one,
     truncated_pfq_exact,
-    truncated_pfq_mod,
 )
 
 
@@ -58,12 +54,37 @@ def gen_binom(top, m):
     return poch_oracle(Fraction(top) - m + 1, m) / factorial(m)
 
 
-def test_pochhammer_exact_examples():
-    assert pochhammer_exact(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer_exact(0, 3) == 0
-    assert pochhammer_exact(-2, 3) == 0
-    assert pochhammer_exact(-2, 2) == 2
-    assert pochhammer_exact(Fraction(7, 3), 0) == 1
+def pochhammer_mod(a, n: int, ctx: ModulusContext) -> Residue:
+    """(a)_n reduced in Z/p^k, computed factor by factor."""
+    m = ctx.modulus
+    start = reduce_rational(a, ctx).value
+    out = 1
+    for i in range(n):
+        out = out * (start + i) % m
+    return Residue(out, ctx)
+
+
+def truncated_pfq_mod(spec: SeriesSpec, ctx: ModulusContext) -> Residue:
+    """The truncated series reduced in Z/p^k, term by term.
+
+    The slow reference for the series kernel.  Every parameter and z must be
+    a p-adic integer; a term ratio whose denominator (k+1 times the lower
+    factors) is divisible by p raises ValueError, from pow.
+    """
+    m = ctx.modulus
+    ups = [reduce_rational(a, ctx).value for a in spec.upper]
+    lows = [reduce_rational(b, ctx).value for b in spec.lower]
+    z = reduce_rational(spec.z, ctx).value
+    total = term = 1
+    for k in range(spec.n_terms):
+        num, den = z, k + 1
+        for a in ups:
+            num = num * (a + k) % m
+        for b in lows:
+            den = den * (b + k) % m
+        term = term * num * pow(den, -1, m) % m
+        total = (total + term) % m
+    return Residue(total, ctx)
 
 
 def test_pochhammer_mod_examples():
@@ -78,7 +99,7 @@ def test_pochhammer_mod_examples():
 def test_pochhammer_central_binomial_ratio():
     # (1/2)_k / (1)_k = C(2k, k) / 4^k, exactly, k <= 200
     for k in range(201):
-        lhs = pochhammer_exact(Fraction(1, 2), k) / pochhammer_exact(1, k)
+        lhs = poch_oracle(Fraction(1, 2), k) / poch_oracle(1, k)
         assert lhs == Fraction(comb(2 * k, k), 4**k)
 
 
@@ -178,11 +199,11 @@ def test_pfq_mod_rejects_non_unit_denominators():
     ctx = ModulusContext(5, 2)
     # truncation reaching the factorial factor p
     spec = SeriesSpec((Fraction(1, 2),), (Fraction(1),), Fraction(1), 5)
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError):
         truncated_pfq_mod(spec, ctx)
     # lower parameter hitting a multiple of p inside the range
     spec = SeriesSpec((Fraction(1, 2),), (Fraction(5),), Fraction(1), 2)
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError):
         truncated_pfq_mod(spec, ctx)
 
 

@@ -7,20 +7,24 @@ from hypothesis import strategies as st
 from supercong.padic_core import (
     IndexOutOfRange,
     ModulusContext,
-    NotInvertible,
     NotPAdicInteger,
     Residue,
-    delta,
     harmonic_mod,
-    has_even_residue,
     least_residue,
-    mod_inverse,
     reduce_rational,
-    s_p,
     sieve_primes,
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23]
+
+
+def s_p(x, p: int) -> int:
+    """Representative of x mod p in {1, ..., p}: least_residue, with 0 mapped to p.
+
+    The exponent of Gamma_p's reflection formula; the tests of Gamma_p read it.
+    """
+    r = least_residue(x, p)
+    return r if r != 0 else p
 
 
 def test_sieve_examples():
@@ -66,47 +70,12 @@ def test_context_modulus_bound_configurable():
     assert ctx.modulus == 1301**3
 
 
-def test_residue_arithmetic_closed():
-    ctx = ModulusContext(7, 2)
-    x, y = Residue(40, ctx), Residue(30, ctx)
-    assert (x + y).value == 21
-    assert (x - y).value == 10
-    assert (x * y).value == 1200 % 49
-    assert (-x).value == 9
-    assert (x**2).value == 1600 % 49
-    assert (x + y).ctx == ctx
-
-
-def test_residue_mixed_context_rejected():
-    x = Residue(1, ModulusContext(7, 2))
-    y = Residue(1, ModulusContext(7, 1))
-    with pytest.raises(ValueError):
-        x + y
-
-
 def test_residue_range_check():
     ctx = ModulusContext(5, 1)
     with pytest.raises(ValueError):
         Residue(5, ctx)
-
-
-def test_mod_inverse_examples():
-    ctx = ModulusContext(5, 2)
-    assert mod_inverse(Residue(2, ctx)).value == 13
-    assert mod_inverse(Residue(1, ctx)).value == 1
-    with pytest.raises(NotInvertible):
-        mod_inverse(Residue(5, ctx))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6), st.sampled_from([1, 2, 3]))
-def test_mod_inverse_roundtrip(p, x, k):
-    ctx = ModulusContext(p, k)
-    v = x % ctx.modulus
-    if v % p == 0:
-        v += 1
-    inv = mod_inverse(Residue(v, ctx))
-    assert v * inv.value % ctx.modulus == 1
+    assert Residue(3, ctx) == Residue(3, ctx) != Residue(3, ModulusContext(7, 1))
+    assert repr(Residue(3, ctx)) == "Residue(3 mod 5)"
 
 
 def test_reduce_rational_examples():
@@ -124,13 +93,14 @@ def test_reduce_rational_examples():
 )
 def test_reduce_rational_is_ring_homomorphism(p, a, b):
     ctx = ModulusContext(p, 2)
+    m = ctx.modulus
     if a.denominator % p == 0 or b.denominator % p == 0:
         return
-    ra, rb = reduce_rational(a, ctx), reduce_rational(b, ctx)
+    ra, rb = reduce_rational(a, ctx).value, reduce_rational(b, ctx).value
     if (a + b).denominator % p == 0 or (a * b).denominator % p == 0:
         pytest.fail("sums/products of p-adic integers stay p-adic")
-    assert reduce_rational(a + b, ctx) == ra + rb
-    assert reduce_rational(a * b, ctx) == ra * rb
+    assert reduce_rational(a + b, ctx) == Residue((ra + rb) % m, ctx)
+    assert reduce_rational(a * b, ctx) == Residue(ra * rb % m, ctx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,8 +116,6 @@ def test_least_residue_examples():
     assert least_residue(Fraction(-1, 3), 7) == 2
     assert least_residue(Fraction(-1, 2), 5) == 2
     assert least_residue(Fraction(-1, 2), 7) == 3
-    assert has_even_residue(Fraction(-1, 3), 7)
-    assert not has_even_residue(Fraction(-1, 2), 7)
 
 
 def test_s_p_examples():
@@ -198,29 +166,3 @@ def test_harmonic_index_out_of_range():
         harmonic_mod(7, 7)
     with pytest.raises(IndexOutOfRange):
         harmonic_mod(-1, 7)
-
-
-def test_delta_examples():
-    ctx = ModulusContext(7, 3)
-    for a in range(7):
-        assert delta(Fraction(a), ctx).value == 0
-    # -1/3 - 2 = -7/3, so the quotient is -1/3 = 16 (mod 49)
-    assert delta(Fraction(-1, 3), ctx).value == 16
-    assert delta(Fraction(-1, 3), ctx).value == reduce_rational(Fraction(-1, 3), ModulusContext(7, 2)).value
-    assert delta(Fraction(7), ModulusContext(7, 2)).value == 1
-
-
-def test_delta_requires_k_at_least_2():
-    with pytest.raises(ValueError):
-        delta(Fraction(1, 3), ModulusContext(7, 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SMALL_PRIMES), st.fractions(min_value=-50, max_value=50, max_denominator=40))
-def test_delta_reconstructs_parameter(p, a):
-    if a.denominator % p == 0:
-        return
-    ctx = ModulusContext(p, 2)
-    r = least_residue(a, p)
-    d = delta(a, ctx).value
-    assert (r + d * p) % ctx.modulus == reduce_rational(a, ctx).value

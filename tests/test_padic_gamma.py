@@ -4,9 +4,10 @@ from math import factorial, gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.padic_core import ModulusContext, least_residue, reduce_rational, s_p, sieve_primes
+from supercong.padic_core import ModulusContext, least_residue, reduce_rational, sieve_primes
 from supercong.padic_gamma import GammaEvaluator, g1, g1_of_one
-from supercong.hyperseries import pochhammer_mod
+from test_hyperseries import pochhammer_mod  # (x)_n factor by factor
+from test_padic_core import s_p
 
 SMALL_PRIMES = [5, 7, 11, 13]
 
