@@ -10,7 +10,6 @@ from .padic_core import (
     DEFAULT_MAX_MODULUS,
     IndexOutOfRange,
     ModulusContext,
-    NotInvertible,
     NotPAdicInteger,
     PadicError,
     Residue,
@@ -21,13 +20,7 @@ from .padic_core import (
     sieve_primes,
 )
 from .padic_gamma import GammaEvaluator, g1, g1_of_one
-from .hyperseries import (
-    LowerParameterPole,
-    SeriesSpec,
-    series_2f1_half,
-    series_3f2_one,
-    truncated_pfq_exact,
-)
+from .hyperseries import series_2f1_half, series_3f2_one
 from .identities import (
     IdentityCheck,
     IdentityReport,
@@ -41,7 +34,6 @@ from .identities import (
     check_clausen_truncated,
     check_gauss_half,
     check_recurrences,
-    sweep_identity,
 )
 from .congruences import (
     PASS,

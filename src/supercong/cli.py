@@ -86,17 +86,21 @@ class ScanConfig:
 def parse_params(path: str) -> list[Fraction]:
     """Read one fraction per line (num/den or int); '#' comments and blank
     lines are ignored.  Malformed lines are reported with their number."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     params = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip().replace("−", "-")
-            if not text:
-                continue
-            try:
-                f = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad parameter {text!r}: {exc}") from None
-            params.append(f)
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip().replace("−", "-")
+        if not text:
+            continue
+        try:
+            f = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad parameter {text!r}: {exc}") from None
+        params.append(f)
     return params
 
 
@@ -320,7 +324,13 @@ def _env_int(name: str, fallback: int | None, choices: tuple[int, ...] | None = 
 
 
 def _env_flag(name: str) -> bool:
-    return os.environ.get(ENV_PREFIX + name, "").lower() in ("1", "true", "yes")
+    """A boolean default from SUPERCONG_<name>: 1/true/yes or 0/false/no/empty, in any case."""
+    text = os.environ.get(ENV_PREFIX + name, "")
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no", ""):
+        return False
+    raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not 1/true/yes or 0/false/no")
 
 
 def build_parser() -> argparse.ArgumentParser:

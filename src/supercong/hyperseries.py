@@ -1,79 +1,16 @@
-"""Truncated pFq series: exactly over the rationals, and the catalog's two mod p^k.
+"""The catalog's two truncated series, reduced in Z/p^k.
 
-The truncated series sum_{k=0..N} (a_1)_k ... (a_r)_k / ((b_1)_k ... (b_s)_k)
-* z^k / k! is evaluated over exact rationals for the identity sweep.  The two
-series the catalog checks share one kernel in Z/p^k driven by per-(p, k)
-tables, whose denominators are the units 1..p-1.
+2F1(-a, a+1; 1; 1/2) and 3F2(1/2, -a, a+1; 1, 1; 1), each truncated at p-1,
+share one kernel driven by per-(p, k) tables whose denominators are the units
+1..p-1.  The identity sweep sums its terminating series exactly, in
+``identities``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
-from .padic_core import (
-    ModulusContext,
-    PadicError,
-    RationalLike,
-    Residue,
-    reduce_rational,
-    unit_inverse_table,
-)
-
-
-class LowerParameterPole(PadicError):
-    """A lower parameter is zero or a negative integer, so a term divides by zero."""
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Parameters of a truncated pFq: upper list, lower list, argument, bound.
-
-    The sum runs over k = 0..n_terms.  Lower parameters may not be zero or
-    negative integers (such a series divides by zero within any truncation).
-    """
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    z: Fraction
-    n_terms: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.n_terms < 0:
-            raise ValueError("truncation bound must be >= 0")
-        for b in self.lower:
-            if b.denominator == 1 and b <= 0:
-                raise LowerParameterPole(f"lower parameter {b} is a non-positive integer")
-
-
-def truncated_pfq_exact(spec: SeriesSpec) -> Fraction:
-    """The truncated series as an exact rational.
-
-    With each parameter c = u/v, c + k = (u + k v)/v, so term k+1 is term k
-    times an integer ratio.  The terms and the sum share one denominator,
-    grown by that ratio's denominator each step, and only the final Fraction
-    takes a gcd.
-    """
-    ups = [(a.numerator, a.denominator) for a in spec.upper]
-    lows = [(b.numerator, b.denominator) for b in spec.lower]
-    num_scale = spec.z.numerator * prod(v for _, v in lows)
-    den_scale = spec.z.denominator * prod(v for _, v in ups)
-    total = denom = term = 1  # the sum so far is total/denom, the last term term/denom
-    for k in range(spec.n_terms):
-        num, den = num_scale, den_scale * (k + 1)
-        for u, v in ups:
-            num *= u + k * v
-        for u, v in lows:
-            den *= u + k * v
-        term *= num
-        total = total * den + term
-        denom *= den
-    return Fraction(total, denom)
+from .padic_core import ModulusContext, RationalLike, Residue, reduce_rational, unit_inverse_table
 
 
 @lru_cache(maxsize=2)

@@ -1,9 +1,11 @@
 """Exact certification of the combinatorial identities behind the congruences.
 
 Everything here runs over arbitrary-precision rationals; a check passes only
-on exact equality.  Each left-hand side is a sum of integers over one common
-denominator, turned into a Fraction once; each right-hand side is an
-independent closed form from math.comb and the cached harmonic numbers.
+on exact equality.  Every left-hand side, the terminating 2F1 and 3F2 of
+GAUSS_HALF and CLAUSEN included, is one binomial sum of integers over one
+common denominator, turned into a Fraction once.  Each right-hand side is an
+independent closed form from math.comb and the cached harmonic numbers, except
+CLAUSEN's, which is the square of the other sum: the 2F1 against the 3F2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
 
-from .hyperseries import SeriesSpec, truncated_pfq_exact
 from .padic_core import PadicError
 
 
@@ -69,8 +70,13 @@ def _require_even(n: int) -> None:
 
 
 def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) -> Fraction:
-    """sum_{k=0..n} C(2k,k)^e C(n+k,2k) (-1/2^e)^k w_k for even n, where w_k = 1,
-    or w_k = c0 H_{n+k} + c1 H_n + c2 H_{n/2} for weight = (c0, c1, c2).
+    """sum_{k=0..n} C(2k,k)^e C(n+k,2k) (-1/2^e)^k w_k, where w_k = 1 for any
+    n >= 0, or w_k = c0 H_{n+k} + c1 H_n + c2 H_{n/2} for weight = (c0, c1, c2)
+    and even n.
+
+    Unweighted, e = 1 gives the terminating 2F1(-n, n+1; 1; 1/2) and e = 2 the
+    terminating 3F2(1/2, -n, n+1; 1, 1; 1), odd n included: term by term,
+    (-n)_k (n+1)_k / k!^2 = (-1)^k C(2k,k) C(n+k,2k) and (1/2)_k / k! = C(2k,k) / 4^k.
 
     Term k times 2^(e n) is the integer C(2k,k)^e C(n+k,2k) (-1)^k 2^(e(n-k)),
     and L H_m is an integer for m <= 2n when L = lcm(1..2n), so the sum is
@@ -153,30 +159,19 @@ def check_recurrences(n_max: int) -> IdentityReport:
     return IdentityReport("RECURRENCES", 0, n_max)
 
 
-def _series_2f1_half_exact(n: int) -> Fraction:
-    spec = SeriesSpec((Fraction(-n), Fraction(n + 1)), (Fraction(1),), Fraction(1, 2), n)
-    return truncated_pfq_exact(spec)
-
-
 def check_clausen_truncated(n: int) -> IdentityCheck:
     """Integer n >= 0, both parities: the terminating 3F2(1/2,-n,n+1;1,1;1)
     equals the square of the terminating 2F1(-n,n+1;1;1/2), exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    spec = SeriesSpec(
-        (Fraction(1, 2), Fraction(-n), Fraction(n + 1)),
-        (Fraction(1), Fraction(1)),
-        Fraction(1),
-        n,
-    )
-    return IdentityCheck("CLAUSEN", n, truncated_pfq_exact(spec), _series_2f1_half_exact(n) ** 2)
+    return IdentityCheck("CLAUSEN", n, _binomial_sum(n, 2), _binomial_sum(n, 1) ** 2)
 
 
 def check_gauss_half(n: int) -> IdentityCheck:
     """Even n: the terminating 2F1(-n,n+1;1;1/2) equals C(n,n/2)/(-4)^(n/2)."""
     _require_even(n)
     rhs = Fraction(comb(n, n // 2), (-4) ** (n // 2))
-    return IdentityCheck("GAUSS_HALF", n, _series_2f1_half_exact(n), rhs)
+    return IdentityCheck("GAUSS_HALF", n, _binomial_sum(n, 1), rhs)
 
 
 _CHECKERS = {
@@ -187,20 +182,3 @@ _CHECKERS = {
     "CLAUSEN": check_clausen_truncated,
     "GAUSS_HALF": check_gauss_half,
 }
-
-
-def sweep_identity(identity: str, n_values) -> IdentityReport:
-    """Run one identity over the given n values, reporting the first failure.
-
-    Raises ValueError when there are no n values: an empty sweep certifies nothing.
-    """
-    checker = _CHECKERS[identity]
-    ns = list(n_values)
-    if not ns:
-        raise ValueError(f"no n values to sweep {identity} over")
-    lo, hi = min(ns), max(ns)
-    for n in ns:
-        result = checker(n)
-        if not result.ok:
-            return IdentityReport(identity, lo, hi, result)
-    return IdentityReport(identity, lo, hi)

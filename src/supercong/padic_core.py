@@ -23,10 +23,6 @@ class PadicError(Exception):
     """Base class for domain errors in this package."""
 
 
-class NotInvertible(PadicError):
-    """Raised when inverting a residue that shares a factor with the modulus."""
-
-
 class NotPAdicInteger(PadicError):
     """Raised when a rational has denominator divisible by the prime in use."""
 
@@ -112,14 +108,6 @@ class Residue:
         return f"Residue({self.value} mod {self.ctx.modulus})"
 
 
-def _inv_int(v: int, modulus: int) -> int:
-    # pow(-1) uses extended Euclid under the hood, so prime-power moduli are fine.
-    try:
-        return pow(v, -1, modulus)
-    except ValueError:
-        raise NotInvertible(f"{v} is not invertible mod {modulus}") from None
-
-
 def _check_p_adic(a: Fraction, p: int) -> None:
     if a.denominator % p == 0:
         raise NotPAdicInteger(f"{a} is not a p-adic integer at p={p}")
@@ -130,14 +118,14 @@ def reduce_rational(a: RationalLike, ctx: ModulusContext) -> Residue:
     a = Fraction(a)
     _check_p_adic(a, ctx.p)
     m = ctx.modulus
-    return Residue(a.numerator * _inv_int(a.denominator % m, m) % m, ctx)
+    return Residue(a.numerator * pow(a.denominator % m, -1, m) % m, ctx)
 
 
 def least_residue(a: RationalLike, p: int) -> int:
     """The least non-negative integer r < p with a = r (mod p)."""
     a = Fraction(a)
     _check_p_adic(a, p)
-    return a.numerator * _inv_int(a.denominator % p, p) % p
+    return a.numerator * pow(a.denominator % p, -1, p) % p
 
 
 @lru_cache(maxsize=256)

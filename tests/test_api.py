@@ -7,15 +7,15 @@ import supercong
 
 PUBLIC_API = {
     # padic_core
-    "DEFAULT_MAX_MODULUS", "IndexOutOfRange", "ModulusContext", "NotInvertible", "NotPAdicInteger",
+    "DEFAULT_MAX_MODULUS", "IndexOutOfRange", "ModulusContext", "NotPAdicInteger",
     "PadicError", "Residue", "harmonic_mod", "is_prime", "least_residue", "reduce_rational", "sieve_primes",
     # padic_gamma
     "GammaEvaluator", "g1", "g1_of_one",
     # hyperseries
-    "LowerParameterPole", "SeriesSpec", "series_2f1_half", "series_3f2_one", "truncated_pfq_exact",
+    "series_2f1_half", "series_3f2_one",
     # identities
     "IdentityCheck", "IdentityReport", "OddInput", "a_n", "b_n", "check_b8", "check_b9", "check_b17",
-    "check_b18", "check_clausen_truncated", "check_gauss_half", "check_recurrences", "sweep_identity",
+    "check_b18", "check_clausen_truncated", "check_gauss_half", "check_recurrences",
     # congruences
     "PASS", "FAIL", "SKIPPED", "NAMED_RATIONALS", "STATEMENTS", "ReportRecord", "StatementChecker",
     "check_statement", "default_parameters", "rhs_conj", "sample_fractions",

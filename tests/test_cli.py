@@ -52,6 +52,14 @@ def test_parse_params_reports_line_numbers(tmp_path):
         parse_params(str(path))
 
 
+def test_non_utf8_params_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe1/2\n")
+    assert main(["--params", str(path), "--primes", "5..7"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
 def test_resolve_statements_groups():
     ids, idents = resolve_statements("theorems")
     assert idents is False
@@ -355,7 +363,11 @@ def test_env_overrides(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("POWER", "5"), ("SEED", "x"), ("JOBS", "2.5"), ("N_MAX", "ten")]
+    "name, value",
+    [
+        ("POWER", "5"), ("SEED", "x"), ("JOBS", "2.5"), ("N_MAX", "ten"),
+        ("STRICT", "maybe"), ("FORCE", "maybe"),
+    ],
 )
 def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):
     monkeypatch.setenv("SUPERCONG_" + name, value)

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from supercong.congruences import NAMED_RATIONALS
 from supercong.padic_core import ModulusContext, NotPAdicInteger, Residue, reduce_rational, sieve_primes
-from supercong.hyperseries import (
-    LowerParameterPole,
-    SeriesSpec,
-    series_2f1_half,
-    series_3f2_one,
-    truncated_pfq_exact,
-)
+from supercong.hyperseries import series_2f1_half, series_3f2_one
 
 
 def poch_oracle(a, k):
@@ -64,19 +58,19 @@ def pochhammer_mod(a, n: int, ctx: ModulusContext) -> Residue:
     return Residue(out, ctx)
 
 
-def truncated_pfq_mod(spec: SeriesSpec, ctx: ModulusContext) -> Residue:
-    """The truncated series reduced in Z/p^k, term by term.
+def truncated_pfq_mod(upper, lower, z, n_terms: int, ctx: ModulusContext) -> Residue:
+    """sum_{k=0..n_terms} (upper)_k / (lower)_k * z^k / k!, reduced in Z/p^k, term by term.
 
     The slow reference for the series kernel.  Every parameter and z must be
     a p-adic integer; a term ratio whose denominator (k+1 times the lower
     factors) is divisible by p raises ValueError, from pow.
     """
     m = ctx.modulus
-    ups = [reduce_rational(a, ctx).value for a in spec.upper]
-    lows = [reduce_rational(b, ctx).value for b in spec.lower]
-    z = reduce_rational(spec.z, ctx).value
+    ups = [reduce_rational(a, ctx).value for a in upper]
+    lows = [reduce_rational(b, ctx).value for b in lower]
+    z = reduce_rational(z, ctx).value
     total = term = 1
-    for k in range(spec.n_terms):
+    for k in range(n_terms):
         num, den = z, k + 1
         for a in ups:
             num = num * (a + k) % m
@@ -133,24 +127,6 @@ def test_pochhammer_mod_matches_exact(p, kk, a, n):
         assert pochhammer_mod(a, n, ctx) == reduce_rational(exact, ctx)
 
 
-def test_series_spec_rejects_lower_pole():
-    with pytest.raises(LowerParameterPole):
-        SeriesSpec((Fraction(1),), (Fraction(0),), Fraction(1), 3)
-    with pytest.raises(LowerParameterPole):
-        SeriesSpec((Fraction(1),), (Fraction(-2),), Fraction(1), 1)
-
-
-def test_pfq_exact_examples():
-    spec = SeriesSpec((Fraction(-2), Fraction(3)), (Fraction(1),), Fraction(1, 2), 4)
-    assert truncated_pfq_exact(spec) == Fraction(-1, 2)
-    spec = SeriesSpec(
-        (Fraction(1, 2), Fraction(-2), Fraction(3)), (Fraction(1), Fraction(1)), Fraction(1), 4
-    )
-    assert truncated_pfq_exact(spec) == Fraction(1, 4)
-    spec = SeriesSpec((Fraction(5, 3),), (Fraction(2),), Fraction(0), 9)
-    assert truncated_pfq_exact(spec) == 1
-
-
 upper_parameters = st.one_of(
     st.fractions(min_value=-6, max_value=6, max_denominator=6),
     st.integers(-8, -1).map(Fraction),  # the series terminates inside the range
@@ -168,43 +144,36 @@ lower_parameters = st.fractions(min_value=-6, max_value=6, max_denominator=6).fi
     st.integers(0, 12),
 )
 def test_pfq_exact_matches_oracle(upper, lower, z, n):
-    spec = SeriesSpec(tuple(upper), tuple(lower), z, n)
-    exact = pfq_oracle(upper, lower, z, n)
-    assert truncated_pfq_exact(spec) == exact
-    assert pfq_term_sum(upper, lower, z, n) == exact  # the series kernel test's oracle
+    # pfq_term_sum is the series kernel test's oracle
+    assert pfq_term_sum(upper, lower, z, n) == pfq_oracle(upper, lower, z, n)
 
 
 def test_pfq_mod_examples():
     ctx = ModulusContext(5, 2)
-    spec = SeriesSpec((Fraction(-2), Fraction(3)), (Fraction(1),), Fraction(1, 2), 4)
-    assert truncated_pfq_mod(spec, ctx).value == 12
+    upper = (Fraction(-2), Fraction(3))
+    assert truncated_pfq_mod(upper, (Fraction(1),), Fraction(1, 2), 4, ctx).value == 12
     ctx7 = ModulusContext(7, 2)
-    spec = SeriesSpec(
-        (Fraction(1, 2), Fraction(-1), Fraction(2)), (Fraction(1), Fraction(1)), Fraction(1), 6
-    )
-    assert truncated_pfq_mod(spec, ctx7).value == 0
-    spec = SeriesSpec((Fraction(1, 3),), (Fraction(2, 3),), Fraction(0), 4)
-    assert truncated_pfq_mod(spec, ctx7).value == 1
+    upper = (Fraction(1, 2), Fraction(-1), Fraction(2))
+    assert truncated_pfq_mod(upper, (Fraction(1), Fraction(1)), Fraction(1), 6, ctx7).value == 0
+    assert truncated_pfq_mod((Fraction(1, 3),), (Fraction(2, 3),), Fraction(0), 4, ctx7).value == 1
 
 
 def test_pfq_mod_requires_p_adic_inputs():
     ctx = ModulusContext(5, 2)
     with pytest.raises(NotPAdicInteger):
-        truncated_pfq_mod(SeriesSpec((Fraction(1, 5),), (Fraction(1),), Fraction(1), 2), ctx)
+        truncated_pfq_mod((Fraction(1, 5),), (Fraction(1),), Fraction(1), 2, ctx)
     with pytest.raises(NotPAdicInteger):
-        truncated_pfq_mod(SeriesSpec((Fraction(1),), (Fraction(1),), Fraction(1, 5), 2), ctx)
+        truncated_pfq_mod((Fraction(1),), (Fraction(1),), Fraction(1, 5), 2, ctx)
 
 
 def test_pfq_mod_rejects_non_unit_denominators():
     ctx = ModulusContext(5, 2)
     # truncation reaching the factorial factor p
-    spec = SeriesSpec((Fraction(1, 2),), (Fraction(1),), Fraction(1), 5)
     with pytest.raises(ValueError):
-        truncated_pfq_mod(spec, ctx)
+        truncated_pfq_mod((Fraction(1, 2),), (Fraction(1),), Fraction(1), 5, ctx)
     # lower parameter hitting a multiple of p inside the range
-    spec = SeriesSpec((Fraction(1, 2),), (Fraction(5),), Fraction(1), 2)
     with pytest.raises(ValueError):
-        truncated_pfq_mod(spec, ctx)
+        truncated_pfq_mod((Fraction(1, 2),), (Fraction(5),), Fraction(1), 2, ctx)
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,9 +187,10 @@ def test_pfq_mod_matches_exact_for_terminating_series(p, k, n):
     if n >= p:
         return
     ctx = ModulusContext(p, k)
-    spec = SeriesSpec((Fraction(-n), Fraction(n + 1)), (Fraction(1),), Fraction(1, 2), p - 1)
-    exact = pfq_oracle([Fraction(-n), Fraction(n + 1)], [Fraction(1)], Fraction(1, 2), p - 1)
-    assert truncated_pfq_mod(spec, ctx) == reduce_rational(exact, ctx)
+    upper, lower = [Fraction(-n), Fraction(n + 1)], [Fraction(1)]
+    exact = pfq_oracle(upper, lower, Fraction(1, 2), p - 1)
+    series = truncated_pfq_mod(upper, lower, Fraction(1, 2), p - 1, ctx)
+    assert series == reduce_rational(exact, ctx)
 
 
 def test_pfq_mod_matches_exact_for_fractional_parameters():
@@ -230,10 +200,10 @@ def test_pfq_mod_matches_exact_for_fractional_parameters():
             ctx = ModulusContext(p, 2)
             upper = (Fraction(1, 2), -a, a + 1)
             lower = (Fraction(1), Fraction(1))
-            spec = SeriesSpec(upper, lower, Fraction(1), p - 1)
-            exact = pfq_oracle(list(upper), list(lower), Fraction(1), p - 1)
+            exact = pfq_oracle(upper, lower, Fraction(1), p - 1)
             assert exact.denominator % p != 0
-            assert truncated_pfq_mod(spec, ctx) == reduce_rational(exact, ctx)
+            series = truncated_pfq_mod(upper, lower, Fraction(1), p - 1, ctx)
+            assert series == reduce_rational(exact, ctx)
 
 
 def test_series_2f1_half_examples():
@@ -252,12 +222,10 @@ def test_series_wrappers_match_generic_evaluator():
     for p, k in [(5, 2), (7, 2), (11, 1), (7, 3)]:
         ctx = ModulusContext(p, k)
         for a in (Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 6)):
-            spec2 = SeriesSpec((-a, a + 1), (Fraction(1),), Fraction(1, 2), p - 1)
-            assert series_2f1_half(a, ctx) == truncated_pfq_mod(spec2, ctx)
-            spec3 = SeriesSpec(
-                (Fraction(1, 2), -a, a + 1), (Fraction(1), Fraction(1)), Fraction(1), p - 1
-            )
-            assert series_3f2_one(a, ctx) == truncated_pfq_mod(spec3, ctx)
+            spec2 = ((-a, a + 1), (Fraction(1),), Fraction(1, 2), p - 1)
+            assert series_2f1_half(a, ctx) == truncated_pfq_mod(*spec2, ctx)
+            spec3 = ((Fraction(1, 2), -a, a + 1), (Fraction(1), Fraction(1)), Fraction(1), p - 1)
+            assert series_3f2_one(a, ctx) == truncated_pfq_mod(*spec3, ctx)
 
 
 def test_term_equivalence_binomial_form_2f1():

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from supercong.identities import (
-    IdentityReport,
     OddInput,
     _binomial_sum,
     a_n,
@@ -17,8 +16,8 @@ from supercong.identities import (
     check_gauss_half,
     check_recurrences,
     harmonic,
-    sweep_identity,
 )
+from test_hyperseries import pfq_oracle  # a pFq from explicit Pochhammer products
 
 
 def harmonic_oracle(n):
@@ -143,25 +142,22 @@ def test_gauss_half_examples():
 
 
 def test_gauss_half_agrees_with_b8():
-    for n in range(0, 21, 2):
-        assert check_gauss_half(n).lhs == check_b8(n).lhs == check_b8(n).rhs
+    # the binomial sum against the 2F1 in Pochhammer form, and both against
+    # B8's closed form
+    for n in range(0, 61, 2):
+        series = pfq_oracle((-n, n + 1), (1,), Fraction(1, 2), n)
+        assert check_gauss_half(n).lhs == series == check_b8(n).rhs
 
 
-def test_sweep_identity_reports():
-    report = sweep_identity("B8", range(0, 41, 2))
-    assert isinstance(report, IdentityReport)
-    assert report.passed
-    assert (report.n_min, report.n_max) == (0, 40)
-    with pytest.raises(ValueError):
-        sweep_identity("B8", [])  # an empty range certifies nothing
-
-
-def test_sweep_identity_catches_failures(monkeypatch):
-    import supercong.identities as ident
-
-    broken = dict(ident._CHECKERS)
-    broken["B8"] = lambda n: ident.IdentityCheck("B8", n, Fraction(n), Fraction(-1))
-    monkeypatch.setattr(ident, "_CHECKERS", broken)
-    report = ident.sweep_identity("B8", range(0, 6, 2))
-    assert not report.passed
-    assert report.first_failure.n == 0
+def test_clausen_sides_match_pochhammer_oracle(monkeypatch):
+    # the 3F2 and the squared 2F1, each summed from its Pochhammer form
+    for n in range(61):
+        chk = check_clausen_truncated(n)
+        assert chk.lhs == pfq_oracle((Fraction(1, 2), -n, n + 1), (1, 1), 1, n)
+        assert chk.rhs == pfq_oracle((-n, n + 1), (1,), Fraction(1, 2), n) ** 2
+    # the sides are two different sums: a fault in either one shows
+    for faulty in (1, 2):
+        monkeypatch.setattr(
+            "supercong.identities._binomial_sum", lambda n, e: _binomial_sum(n, e) + (e == faulty)
+        )
+        assert not check_clausen_truncated(4).ok and not check_clausen_truncated(5).ok
