@@ -51,9 +51,9 @@ class Statement:
 NAMED_RATIONALS = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReportRecord:
-    """One verdict row: statement, prime, power, parameter, both sides."""
+    """One verdict row: statement, prime, power, parameter, both sides (slotted; not hashable)."""
 
     statement: str
     p: int | None
@@ -277,11 +277,11 @@ class StatementChecker:
         return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:
-        """kernel(a, ctx(k)).value for a series kernel, evaluated once per (kernel, k, a)."""
-        key = (kernel, k, a.numerator, a.denominator)
+        """kernel(a, ctx(k), lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
+        key = (kernel, k, a.numerator, a.denominator)  # not the lift: -1/6 and 4 agree mod 25
         value = self._series.get(key)
         if value is None:
-            value = self._series[key] = kernel(a, self.ctx(k)).value
+            value = self._series[key] = kernel(a, self.ctx(k), self.lift(a, k)).value
         return value
 
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:

@@ -392,6 +392,16 @@ def test_reader_closing_the_pipe_early(tmp_path):
     assert err.read_bytes() == b""
 
 
+def test_cli_import_leaves_sympy_out():
+    # sympy checks the series certificates in the tests; importing it costs
+    # about 0.7 s, so the program itself must never load it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, supercong.cli; print(*sorted({m.split('.')[0] for m in sys.modules} & {'supercong', 'sympy'}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["supercong"]
+
+
 def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):
     # force a FAIL by corrupting one verdict before exit-code evaluation
     import supercong.cli as cli_mod

@@ -126,9 +126,9 @@ def test_checker_evaluates_each_series_once_per_point(monkeypatch):
     def counting(name):
         kernel = getattr(congruences, name)
 
-        def counted(a, ctx):
+        def counted(a, ctx, *rest):
             calls[name, ctx.k, Fraction(a)] += 1
-            return kernel(a, ctx)
+            return kernel(a, ctx, *rest)
 
         return counted
 
@@ -146,6 +146,26 @@ def test_checker_evaluates_each_series_once_per_point(monkeypatch):
     # the shared values are the ones a fresh checker per record computes
     for rec in records[::7]:
         assert rec == StatementChecker(p).check(rec.statement, rec.a)
+
+
+def test_series_cache_keys_on_the_parameter_not_its_lift(monkeypatch):
+    # -1/6 and 4 agree mod 25: the kernels see the same lift and return the
+    # same value, but they are two points of the scan, each evaluated once.
+    import supercong.congruences as congruences
+
+    calls = Counter()
+    kernel = congruences.series_3f2_one
+
+    def counted(a, ctx, *rest):
+        calls[Fraction(a), ctx.k] += 1
+        return kernel(a, ctx, *rest)
+
+    monkeypatch.setattr(congruences, "series_3f2_one", counted)
+    checker = StatementChecker(5)
+    records = [checker.check("THM2_A5", a) for a in (Fraction(4), Fraction(-1, 6), Fraction(4), Fraction(-1, 6))]
+    assert checker.lift(Fraction(-1, 6), 2) == 4
+    assert calls == {(Fraction(4), 2): 1, (Fraction(-1, 6), 2): 1}
+    assert [r.lhs for r in records] == [records[0].lhs] * 4 and records[1].a == Fraction(-1, 6)
 
 
 def test_each_statement_reads_its_kernels(monkeypatch):
@@ -167,9 +187,9 @@ def test_each_statement_reads_its_kernels(monkeypatch):
     def counting(name):
         kernel = getattr(congruences, name)
 
-        def counted(a, ctx):
+        def counted(a, ctx, *rest):
             reached.add(name)
-            return kernel(a, ctx)
+            return kernel(a, ctx, *rest)
 
         return counted
 
@@ -181,6 +201,39 @@ def test_each_statement_reads_its_kernels(monkeypatch):
         reached.clear()
         assert StatementChecker(13).check(stmt, a).verdict == PASS
         assert reached == kernels, stmt
+
+
+@pytest.mark.parametrize(
+    "which, r, failing",
+    [
+        (0, 6, {"THM1_A4", "TRACE_C9", "THM3_A6"}),  # u at an even r
+        (0, 7, {"SUN_A3", "THM3_A6"}),  # u at an odd r
+        (1, 6, {"THM2_A5", "THM3_A6"}),  # v at an even r
+        (1, 7, {"SUN_A2", "THM3_A6"}),  # v at an odd r
+    ],
+)
+def test_one_corrupted_table_entry_fails_its_statements(monkeypatch, which, r, failing):
+    # The integer points read u_r and v_r from two separate recurrences, and
+    # the right sides never read them: v filled as u^2 would make THM3_A6
+    # compare a number with itself, and a TRACE_C9 right side from u would
+    # pass with u.  One entry off by one must fail exactly its readers.
+    from supercong import hyperseries
+
+    p, tables = 13, hyperseries._tables
+
+    def corrupted(q, k):
+        out = list(tables(q, k))
+        if (q, k) == (p, 2):
+            rows, values = out[which]
+            out[which] = rows, values[:r] + ((values[r] + 1) % q**k,) + values[r + 1 :]
+        return tuple(out)
+
+    monkeypatch.setattr(hyperseries, "_tables", corrupted)
+    theorems = [s for s, st in STATEMENTS.items() if st.kind == "theorem"]
+    checker = StatementChecker(p)
+    for x in range(p):
+        verdicts = {stmt: checker.check(stmt, x).verdict for stmt in theorems}
+        assert {stmt for stmt, v in verdicts.items() if v == FAIL} == (failing if x == r else set()), x
 
 
 def _lift(x: Fraction, m: int) -> int:

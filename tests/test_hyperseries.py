@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.congruences import NAMED_RATIONALS
+from supercong import hyperseries
+from supercong.congruences import NAMED_RATIONALS, default_parameters
 from supercong.padic_core import ModulusContext, NotPAdicInteger, Residue, reduce_rational, sieve_primes
 from supercong.hyperseries import series_2f1_half, series_3f2_one
 
@@ -284,3 +285,125 @@ def test_series_kernel_matches_exact_sum(point):
     assert series_2f1_half(a, ctx) == reduce_rational(exact2, ctx)
     exact3 = pfq_term_sum((Fraction(1, 2), -a, a + 1), (1, 1), 1, p - 1)
     assert series_3f2_one(a, ctx) == reduce_rational(exact3, ctx)
+
+
+# The integer tables.  For r < p, u_r = 2F1(-r, r+1; 1; 1/2) = sum_j F2(r, j)
+# and v_r = 3F2(1/2, -r, r+1; 1, 1; 1) = sum_j F3(r, j) terminate at j = r.
+# Each summand has a Zeilberger telescoper with a rational certificate R = G/F:
+#   (r+1) F2(r, j) + (r+2) F2(r+2, j) = G2(r, j+1) - G2(r, j),
+#   (r+1)^2 F3(r, j) - (r+2)^2 F3(r+2, j) = G3(r, j+1) - G3(r, j),
+# so, summed over j, (r+2) u_{r+2} = -(r+1) u_r and (r+2)^2 v_{r+2} = (r+1)^2 v_r.
+# Per summand (-1)^j C(r+j, 2j) C(2j, j)^e0 / b^j: (e0, b, the telescoper's two
+# coefficients, c(r) and e of R(r, j) = c(r) j^e / ((r+1-j)(r+2-j))).
+TELESCOPERS = {
+    "2F1": (1, 2, lambda r: (r + 1, r + 2), lambda r: -2 * (2 * r + 3), 2),
+    "3F2": (2, 4, lambda r: ((r + 1) ** 2, -((r + 2) ** 2)), lambda r: 2 * (2 * r + 3), 3),
+}
+
+
+def summand(name, binomial, one):
+    # F(r, j) with the given binomial and exact 1 (Fraction or sympy)
+    e0, b = TELESCOPERS[name][:2]
+    return lambda r, j: (-1) ** j * binomial(r + j, 2 * j) * binomial(2 * j, j) ** e0 * one / b**j
+
+
+@pytest.mark.parametrize("name", sorted(TELESCOPERS))
+def test_telescoper_certificate_is_a_rational_identity(name):
+    # Divided by F(r, j), the telescoping relation is an identity of rational
+    # functions in r and j; sympy derives the two term ratios from binomials.
+    import sympy
+
+    r, j = sympy.symbols("r j", integer=True, nonnegative=True)
+    F = summand(name, sympy.binomial, sympy.Integer(1))
+    _, _, coefficients, c, e = TELESCOPERS[name]
+    a0, a2 = coefficients(r)
+    R = lambda j: c(r) * j**e / ((r + 1 - j) * (r + 2 - j))  # noqa: E731
+    shift = sympy.combsimp(F(r + 2, j) / F(r, j))
+    step = sympy.combsimp(F(r, j + 1) / F(r, j))
+    assert shift.is_rational_function(r, j) and step.is_rational_function(r, j)
+    assert sympy.cancel(a0 + a2 * shift - (R(j + 1) * step - R(j))) == 0
+
+
+@pytest.mark.parametrize("name", sorted(TELESCOPERS))
+def test_telescoper_certificate_pole_free_and_bounded(name):
+    # G(r, j) = c(r) j^e F(r+2, j) / ((r+j+1)(r+j+2)) is R(r, j) F(r, j) without
+    # its poles at j = r+1, r+2.  It is 0 at j = 0 and for every j >= r+3, so
+    # summing the relation over j = 0..r+2 gives the recurrence, exactly.
+    F = summand(name, comb, Fraction(1))
+    _, _, coefficients, c, e = TELESCOPERS[name]
+
+    def G(r, j):
+        return c(r) * j**e * F(r + 2, j) / ((r + j + 1) * (r + j + 2))
+
+    for r in range(40):
+        a0, a2 = coefficients(r)
+        assert G(r, 0) == 0
+        assert all(G(r, j) == 0 for j in range(r + 3, r + 12))
+        for j in range(r + 12):
+            if j not in (r + 1, r + 2):
+                assert G(r, j) == c(r) * j**e * F(r, j) / ((r + 1 - j) * (r + 2 - j))
+            assert a0 * F(r, j) + a2 * F(r + 2, j) == G(r, j + 1) - G(r, j)
+        assert a0 * sum(F(r, j) for j in range(r + 1)) + a2 * sum(F(r + 2, j) for j in range(r + 3)) == 0
+
+
+def _oracles(a, ctx):
+    # both catalog series at a, term by term in Z/p^k
+    n = ctx.p - 1
+    return (
+        truncated_pfq_mod((-a, a + 1), (1,), Fraction(1, 2), n, ctx),
+        truncated_pfq_mod((Fraction(1, 2), -a, a + 1), (1, 1), 1, n, ctx),
+    )
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 61))
+def test_integer_tables_match_term_by_term_series(p):
+    for k in (1, 2, 3):
+        ctx = ModulusContext(p, k)
+        (_, u), (_, v) = hyperseries._tables(p, k)
+        assert len(u) == len(v) == p
+        for r in range(p):
+            f2, f3 = _oracles(Fraction(r), ctx)
+            assert (u[r], v[r]) == (f2.value, f3.value), (p, k, r)
+            assert (series_2f1_half(r, ctx), series_3f2_one(r, ctx)) == (f2, f3)
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 61))
+def test_lifts_below_p_that_are_not_integers(p):
+    # The series depends on a only through its lift x = a mod p^k, so a
+    # non-integer a with x < p reads the table at r = x: every parameter at
+    # k = 1, and a = (2r + p^k)/2 at k = 2, 3.
+    points = [(1, a) for a in default_parameters(p, seed=p)]
+    points += [(k, Fraction(2 * r + p**k, 2)) for k in (2, 3) for r in range(p)]
+    for k, a in points:
+        ctx = ModulusContext(p, k)
+        x = reduce_rational(a, ctx).value
+        assert x < p
+        f2, f3 = _oracles(a, ctx)
+        assert (series_2f1_half(a, ctx), series_3f2_one(a, ctx)) == (f2, f3), (p, k, a)
+        assert (series_2f1_half(a, ctx, x), series_3f2_one(a, ctx, x)) == (f2, f3), (p, k, a)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_integers_outside_the_table_take_the_loop(p, monkeypatch):
+    # Integers outside [0, p) lift below p only at k = 1.  At k >= 2 they run
+    # the term loop: with every table value poisoned they still match the
+    # oracle, while a lift below p does read the (poisoned) table.
+    integers = (p, -1, -p, p + 1, 2 * p - 1, -2, -p - 3)
+    ctx = ModulusContext(p, 1)
+    for a in integers:
+        assert (series_2f1_half(a, ctx), series_3f2_one(a, ctx)) == _oracles(Fraction(a), ctx), (p, a)
+    tables = hyperseries._tables
+
+    def poisoned(q, k):
+        (rows2, u), (rows3, v) = tables(q, k)
+        return (rows2, (None,) * len(u)), (rows3, (None,) * len(v))
+
+    monkeypatch.setattr(hyperseries, "_tables", poisoned)
+    for k in (2, 3):
+        ctx = ModulusContext(p, k)
+        for a in integers:
+            assert reduce_rational(a, ctx).value >= p
+            expected = _oracles(Fraction(a), ctx)
+            assert (series_2f1_half(a, ctx), series_3f2_one(a, ctx)) == expected, (p, k, a)
+        with pytest.raises(TypeError):
+            series_3f2_one(p**k + 3, ctx)
