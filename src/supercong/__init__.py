@@ -7,7 +7,6 @@ ranges of primes and p-adic parameters.
 """
 
 from .padic_core import (
-    DEFAULT_MAX_MODULUS,
     IndexOutOfRange,
     ModulusContext,
     NotPAdicInteger,

@@ -23,16 +23,12 @@ from .congruences import (
     PASS,
     STATEMENTS,
     StatementChecker,
-    context_power,
     default_parameters,
     ReportRecord,
 )
-from .padic_core import DEFAULT_MAX_MODULUS, is_prime, sieve_primes
+from .padic_core import is_prime, sieve_primes
 
 ENV_PREFIX = "SUPERCONG_"
-
-#: Hard ceiling used with --force in place of the default modulus bound.
-FORCED_MAX_MODULUS = 2**63
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,7 +52,6 @@ class ScanConfig:
     out: str = "-"
     fmt: str = "jsonl"
     strict: bool = False
-    force: bool = False
     n_max: int = 100
     power: int | None = None
     file_params: list[Fraction] | None = field(default=None)
@@ -132,8 +127,8 @@ def resolve_statements(selection: str) -> tuple[list[str], bool]:
 
 
 def _scan_prime(task: tuple) -> list[ReportRecord]:
-    p, stmt_ids, file_params, seed, power, max_modulus = task
-    checker = StatementChecker(p, max_modulus=max_modulus)
+    p, stmt_ids, file_params, seed, power = task
+    checker = StatementChecker(p)
     params = None
     records = []
     for stmt_id in stmt_ids:
@@ -194,9 +189,8 @@ def collect_records(config: ScanConfig) -> list[ReportRecord]:
     records: list[ReportRecord] = []
     if config.statements:
         primes = sieve_primes(config.lo, config.hi)
-        max_modulus = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
         tasks = [  # largest, that is costliest, primes first
-            (p, tuple(config.statements), config.file_params, config.seed, config.power, max_modulus)
+            (p, tuple(config.statements), config.file_params, config.seed, config.power)
             for p in reversed(primes)
         ]
         if config.jobs > 1 and len(tasks) > 1:
@@ -276,22 +270,8 @@ def _exit_code(records: list[ReportRecord], strict: bool) -> int:
     return EXIT_OK
 
 
-def check_modulus_bound(config: ScanConfig) -> None:
-    """Refuse a scan that would build a modulus p^k at or above the bound:
-    DEFAULT_MAX_MODULUS, or FORCED_MAX_MODULUS under --force."""
-    k = max((context_power(s, config.power) for s in config.statements), default=0)
-    bound = FORCED_MAX_MODULUS if config.force else DEFAULT_MAX_MODULUS
-    if config.hi**k < bound:
-        return
-    p = next((n for n in range(config.hi, max(config.lo, 5) - 1, -1) if is_prime(n)), None)
-    if p is not None and p**k >= bound:
-        lift = " set by --force" if config.force else f"; --force lifts it to {FORCED_MAX_MODULUS}"
-        raise ConfigError(f"modulus {p}^{k} = {p**k} is not below the bound {bound}{lift}")
-
-
 def run_scan(config: ScanConfig) -> int:
     """Execute the configured checks, write the report, print the summary."""
-    check_modulus_bound(config)
     records = collect_records(config)
     if config.out == "-":
         write_records(records, config.fmt, sys.stdout)
@@ -359,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env_default("FORMAT", "jsonl"))
     parser.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
                         help="conjecture failures also flip the exit status")
-    parser.add_argument("--force", action="store_true", default=_env_flag("FORCE"),
-                        help="lift the modulus bound from 2^31 to 2^63")
     parser.add_argument("--n-max", type=int, default=_env_int("N_MAX", 100),
                         help="sweep bound for identity checks (default %(default)s)")
     return parser
@@ -390,7 +368,6 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
         out=args.out,
         fmt=args.fmt,
         strict=args.strict,
-        force=args.force,
         n_max=args.n_max,
         power=args.power,
         file_params=file_params,

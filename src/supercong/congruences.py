@@ -19,7 +19,6 @@ from .padic_core import (
     Residue,
     harmonic_mod,
     least_residue,
-    DEFAULT_MAX_MODULUS,
 )
 from .padic_gamma import GammaEvaluator, g1_at
 from .hyperseries import series_2f1_half, series_3f2_one
@@ -44,7 +43,6 @@ class Statement:
     takes_param: bool
     sides: Callable[..., tuple[int, int]]
     fixed_power: bool = False  # checked mod p^power whatever --power says
-    reads_p2: bool = False  # also builds Z/p^2, whatever the comparison power
 
 
 #: The four classical parameters tied to weight-three modular forms.
@@ -205,7 +203,7 @@ STATEMENTS: dict[str, Statement] = {
         Statement("THM2_A5", 2, THEOREM, "even", True, _thm2_sides),
         Statement("THM3_A6", 2, THEOREM, None, True, _thm3_sides),
         Statement("LEMMA_B5", 2, THEOREM, None, True, _lemma_b5_sides),
-        Statement("TRACE_C9", 2, THEOREM, "even", True, _trace_c9_sides, reads_p2=True),
+        Statement("TRACE_C9", 2, THEOREM, "even", True, _trace_c9_sides),
         # stated mod p only; harmonic and G1 data live there
         Statement("TRACE_C15", 1, THEOREM, "even", True, _trace_c15_sides, fixed_power=True),
         Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides("CONJ_S1")),
@@ -222,12 +220,6 @@ def comparison_power(stmt_id: str, power: int | None = None) -> int:
     return st.power if power is None or st.fixed_power else power
 
 
-def context_power(stmt_id: str, power: int | None = None) -> int:
-    """The largest k of the contexts Z/p^k a check of stmt_id builds."""
-    k = comparison_power(stmt_id, power)
-    return max(k, 2) if STATEMENTS[stmt_id].reads_p2 else k
-
-
 class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
@@ -238,9 +230,8 @@ class StatementChecker:
     series is evaluated once per (k, a) whichever statements read it.
     """
 
-    def __init__(self, p: int, max_modulus: int = DEFAULT_MAX_MODULUS):
+    def __init__(self, p: int):
         self.p = p
-        self.max_modulus = max_modulus
         self._ctx: dict[int, ModulusContext] = {}
         self._gamma: dict[int, GammaEvaluator] = {}
         self._points: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
@@ -249,7 +240,7 @@ class StatementChecker:
 
     def ctx(self, k: int) -> ModulusContext:
         if k not in self._ctx:
-            self._ctx[k] = ModulusContext(self.p, k, max_modulus=self.max_modulus)
+            self._ctx[k] = ModulusContext(self.p, k)
         return self._ctx[k]
 
     def gamma(self, k: int) -> GammaEvaluator:

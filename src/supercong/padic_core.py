@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 RationalLike = Union[int, Fraction]
-
-#: Contexts with modulus at or above this bound are rejected by default, so
-#: that a product of two residues stays below 2^62.
-DEFAULT_MAX_MODULUS = 2**31
 
 
 class PadicError(Exception):
@@ -32,7 +29,7 @@ class IndexOutOfRange(PadicError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (n < 2^31 scale)."""
+    """Deterministic trial-division primality test."""
     if n < 2:
         return False
     if n < 4:
@@ -54,17 +51,7 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     """
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    lo = max(lo, 5)
-    if hi < lo:
-        return []
-    flags = bytearray([1]) * (hi + 1)
-    flags[0:2] = b"\x00\x00"
-    q = 2
-    while q * q <= hi:
-        if flags[q]:
-            flags[q * q :: q] = bytes(len(flags[q * q :: q]))
-        q += 1
-    return [n for n in range(lo, hi + 1) if flags[n]]
+    return [n for n in range(max(lo, 5), hi + 1) if is_prime(n)]
 
 
 @dataclass(frozen=True)
@@ -74,19 +61,13 @@ class ModulusContext:
     p: int
     k: int
     modulus: int = field(init=False, compare=False)
-    max_modulus: int = field(default=DEFAULT_MAX_MODULUS, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k not in (1, 2, 3):
             raise ValueError(f"exponent k must be 1, 2 or 3, got {self.k}")
         if self.p < 5 or not is_prime(self.p):
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
-        modulus = self.p**self.k
-        if modulus >= self.max_modulus:
-            raise ValueError(
-                f"modulus {self.p}^{self.k} = {modulus} exceeds bound {self.max_modulus}"
-            )
-        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "modulus", self.p**self.k)
 
 
 @dataclass(frozen=True)
@@ -130,19 +111,8 @@ def least_residue(a: RationalLike, p: int) -> int:
 
 @lru_cache(maxsize=256)
 def _harmonic_table(p: int) -> tuple[int, ...]:
-    # H_0..H_{p-1} mod p via the linear-time inverse recurrence
-    # inv[i] = -(p // i) * inv[p % i]  (valid for prime p).
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    table = [0] * p
-    acc = 0
-    for n in range(1, p):
-        acc = (acc + inv[n]) % p
-        table[n] = acc
-    return tuple(table)
+    # H_0..H_{p-1} mod p: running sums of the inverses of 1..p-1 mod p
+    return tuple(accumulate(unit_inverse_table(p, 1), lambda h, inv: (h + inv) % p))
 
 
 def harmonic_mod(n: int, p: int) -> int:

@@ -7,7 +7,7 @@ import supercong
 
 PUBLIC_API = {
     # padic_core
-    "DEFAULT_MAX_MODULUS", "IndexOutOfRange", "ModulusContext", "NotPAdicInteger",
+    "IndexOutOfRange", "ModulusContext", "NotPAdicInteger",
     "PadicError", "Residue", "harmonic_mod", "is_prime", "least_residue", "reduce_rational", "sieve_primes",
     # padic_gamma
     "GammaEvaluator", "g1", "g1_of_one",

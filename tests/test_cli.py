@@ -304,26 +304,18 @@ def test_empty_params_file_is_a_usage_error(tmp_path, capsys):
     assert main(argv + ["--statements", "CONJ_S1"]) == EXIT_OK
 
 
-def test_guardrail_refuses_large_power3_scan():
-    # p^3 for the primes above 1290 reaches the default modulus bound of 2^31
-    assert main(["--primes", "5..1500", "--statements", "CONJ_S1"]) == EXIT_USAGE
-    assert main(["--primes", "5..1500", "--statements", "THM1_A4", "--power", "3"]) == EXIT_USAGE
-
-
-def test_modulus_bound_is_a_usage_error(tmp_path, capsys):
-    # 46349^2 exceeds the default bound of 2^31: refused before any work
-    argv = ["--primes", "46349..46349", "--statements", "SUN_A3"]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "--force" in err
-    # --force lifts the bound
+def test_power2_scan_past_p46340_runs(tmp_path):
+    # 46349^2 > 2^31; Python integers need no bound on the modulus
     params = tmp_path / "params.txt"
-    params.write_text("1\n")
-    out = tmp_path / "report.jsonl"
-    assert main(argv + ["--force", "--params", str(params), "--out", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["verdict"] == "PASS"
+    params.write_text("1\n2\n-1/2\n-1/6\n7/5\n")
+    argv = ["--statements", "theorems", "--primes", "46349..46349", "--seed", "0", "--params", str(params)]
+    digests = set()
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report{jobs}.jsonl"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 40
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == {"b43df6e15454f1406d48d17dbe89d3bffbbc7dd2521b7083e542c84242f79c8a"}
 
 
 def test_power3_scan_above_p1000_runs_without_force(tmp_path):
@@ -332,6 +324,13 @@ def test_power3_scan_above_p1000_runs_without_force(tmp_path):
     assert main(argv) == EXIT_OK
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(r["p"], r["k"]) for r in records] == [(1009, 3), (1013, 3)]
+    # 1291^3 > 2^31: the conjectures there run as any others do
+    out = tmp_path / "conj1291.jsonl"
+    argv = ["--statements", "conjectures", "--primes", "1291..1301", "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3970
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "99d0fe64a723364a3390079e27a5929729f24cc2774b5e8302c62fd3d3748b2a"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -366,7 +365,7 @@ def test_env_overrides(monkeypatch):
     "name, value",
     [
         ("POWER", "5"), ("SEED", "x"), ("JOBS", "2.5"), ("N_MAX", "ten"),
-        ("STRICT", "maybe"), ("FORCE", "maybe"),
+        ("STRICT", "maybe"),
     ],
 )
 def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):

@@ -15,7 +15,6 @@ from supercong.congruences import (
     STATEMENTS,
     StatementChecker,
     check_statement,
-    context_power,
     default_parameters,
     rhs_conj,
     sample_fractions,
@@ -361,8 +360,6 @@ def test_power_override():
     weak, full = checker.check("TRACE_C9", a, power=1), checker.check("TRACE_C9", a)
     assert (weak.k, full.k) == (1, 2)
     assert (weak.lhs, weak.rhs) == (full.lhs % 13, full.rhs % 13)
-    assert context_power("TRACE_C9", 1) == 2 and context_power("TRACE_C15", 3) == 1
-    assert context_power("THM1_A4", 1) == 1
 
 
 def test_record_serialization():

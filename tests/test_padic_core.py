@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,17 @@ def test_sieve_matches_trial_division():
     assert sieve_primes(5, 250) == [n for n in range(5, 251) if naive(n)]
 
 
+def test_sieve_memory_follows_the_range_not_hi():
+    tracemalloc.start()
+    try:
+        primes = sieve_primes(10**9, 10**9 + 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes == [10**9 + d for d in (7, 9, 21, 33, 87, 93, 97)]
+    assert peak < 2**20
+
+
 def test_context_validation():
     ctx = ModulusContext(5, 2)
     assert ctx.modulus == 25
@@ -62,12 +74,10 @@ def test_context_validation():
         ModulusContext(5, 4)  # exponent out of range
 
 
-def test_context_modulus_bound_configurable():
-    # 1301^3 > 2^31: rejected by default, accepted with a raised bound.
-    with pytest.raises(ValueError):
-        ModulusContext(1301, 3)
-    ctx = ModulusContext(1301, 3, max_modulus=2**63)
-    assert ctx.modulus == 1301**3
+def test_context_has_no_modulus_bound():
+    # p^k at or above 2^31 builds like any other modulus
+    assert ModulusContext(1301, 3).modulus == 1301**3
+    assert ModulusContext(46349, 2).modulus == 46349**2
 
 
 def test_residue_range_check():
