@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
 from .padic_core import (
@@ -165,11 +164,12 @@ def _lemma_b5_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple
 
 def _trace_c9_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
     # The 2F1 against its closed form with first-order p-correction.
-    p, m = chk.p, chk.ctx(k).modulus
+    p, m, ev = chk.p, chk.ctx(k).modulus, chk.gamma(k)
     d = (chk.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
     hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
     w = d * hdiff * ((p + 1) // 2) % p
-    rhs = comb(r, r // 2) % m * pow(pow(4, -1, m), r // 2, m) % m
+    # C(r, r/2) / 4^(r/2) = r! / ((r/2)!^2 2^r) from the factorial tables: r < p, all units
+    rhs = ev.factorial(r) * ev.inverse_factorial(r // 2) ** 2 % m * pow((m + 1) // 2, r, m) % m
     rhs = rhs * _sign_value(r // 2, m) % m
     return chk.series(series_2f1_half, a, k), rhs * (1 + w * p) % m
 

@@ -2,10 +2,12 @@
 
 Everything here runs over arbitrary-precision rationals; a check passes only
 on exact equality.  Every left-hand side, the terminating 2F1 and 3F2 of
-GAUSS_HALF and CLAUSEN included, is one binomial sum of integers over one
-common denominator, turned into a Fraction once.  Each right-hand side is an
-independent closed form from math.comb and the cached harmonic numbers, except
-CLAUSEN's, which is the square of the other sum: the 2F1 against the 3F2.
+GAUSS_HALF and CLAUSEN included, is one binomial sum of integer terms over
+2^(e n); the harmonic weights are added as a pairwise sum of the fractions
+T_j/(n+j) over the tails T_j, and each sum is turned into a Fraction once.
+Each right-hand side is an independent closed form from math.comb and the
+cached harmonic numbers, except CLAUSEN's, which is the square of the other
+sum: the 2F1 against the 3F2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 
 from .padic_core import PadicError
 
@@ -78,9 +80,11 @@ def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) ->
     terminating 3F2(1/2, -n, n+1; 1, 1; 1), odd n included: term by term,
     (-n)_k (n+1)_k / k!^2 = (-1)^k C(2k,k) C(n+k,2k) and (1/2)_k / k! = C(2k,k) / 4^k.
 
-    Term k times 2^(e n) is the integer C(2k,k)^e C(n+k,2k) (-1)^k 2^(e(n-k)),
-    and L H_m is an integer for m <= 2n when L = lcm(1..2n), so the sum is
-    one integer over L 2^(e n).
+    Term k times 2^(e n) is the integer t_k = C(2k,k)^e C(n+k,2k) (-1)^k 2^(e(n-k)).
+    By Abel summation, sum_k t_k (H_{n+k} - H_n) = sum_{j=1..n} T_j / (n+j)
+    with the tails T_j = sum_{k>=j} t_k; those n fractions are added pairwise,
+    level by level (binary splitting), so most products are big times small.
+    The rest of the weight, (c0 + c1) H_n + c2 H_{n/2}, multiplies the plain sum T_0.
     """
     terms, term = [], 1 << e * n
     for k in range(n + 1):
@@ -90,11 +94,16 @@ def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) ->
     if weight is None:
         return Fraction(sum(terms), 1 << e * n)
     c_run, c_n, c_half = weight
-    big_l = lcm(*range(1, 2 * n + 1))
-    lh = list(accumulate((big_l // m for m in range(1, 2 * n + 1)), initial=0))  # lh[m] = L H_m
-    weighted = sum(t * lh[n + k] for k, t in enumerate(terms))
-    total = c_run * weighted + (c_n * lh[n] + c_half * lh[n // 2]) * sum(terms)
-    return Fraction(total, big_l << e * n)
+    tails = list(accumulate(reversed(terms)))  # tails[i] = T_{n-i}
+    del terms
+    total = tails.pop()  # T_0
+    level = [(t, 2 * n - i) for i, t in enumerate(tails)]  # (T_j, n+j), j = n..1
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(level[::2], level[1::2])] + odd
+    num, den = level[0] if level else (0, 1)
+    h = (c_run + c_n) * harmonic(n) + c_half * harmonic(n // 2)
+    return Fraction(c_run * num * h.denominator + h.numerator * total * den, den * h.denominator << e * n)
 
 
 def check_b8(n: int) -> IdentityCheck:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import cli
+from supercong import cli, identities
 from supercong.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -349,6 +349,41 @@ def test_identity_sweep_report_hash(tmp_path):
     assert main(["--statements", "identities", "--n-max", "200", "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "7fcb3d92bb97b94b745324ce174ced27e93205d9723beb2d7f123d1bcb3b67e7"
+
+
+def test_identity_sweep_report_hash_at_n400(tmp_path):
+    # the weighted sums at twice the tree sizes of the n = 200 pin
+    out = tmp_path / "identities.jsonl"
+    assert main(["--statements", "identities", "--n-max", "400", "--out", str(out)]) == EXIT_OK
+    report = out.read_bytes()
+    assert report.count(b"\n") == 1407
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == "a5fecd334955b0efba47b8d7ed559ace8e59e5804a77a10c5234f14bd82f8849"
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "drop"])
+def test_faulty_tail_fails_recurrences_and_exit_code(tmp_path, monkeypatch, fault):
+    # The weighted sums add (T_j, n+j) for the tails T_j; one tail off by one
+    # (T_n) or one pair left out (T_1, n+1) must fail every weighted record.
+    real = identities.accumulate
+
+    def faulty(iterable):
+        tails = list(real(iterable))  # T_n, ..., T_1, T_0
+        if len(tails) > 1:
+            if fault == "corrupt":
+                tails[0] += 1
+            else:
+                del tails[-2]
+        return tails
+
+    monkeypatch.setattr(identities, "accumulate", faulty)
+    out = tmp_path / "identities.jsonl"
+    assert main(["--statements", "identities", "--n-max", "12", "--out", str(out)]) == EXIT_FAIL
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    recurrences = next(r for r in records if r["statement"] == "RECURRENCES")
+    assert recurrences["verdict"] == "FAIL" and recurrences["lhs"].startswith("A_VANISH[1]=")
+    failing = {r["statement"] for r in records if r["verdict"] == "FAIL"}
+    assert failing == {"B17", "B18", "RECURRENCES"}
 
 
 def test_env_overrides(monkeypatch):

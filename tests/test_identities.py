@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from supercong import identities
 from supercong.identities import (
     OddInput,
     _binomial_sum,
@@ -109,14 +110,26 @@ def test_identity_left_sides_match_fraction_loops():
 @pytest.mark.parametrize("e, weight", [(1, (2, -3, 1)), (2, (2, -5, 2))])
 def test_harmonic_sum_kernel_off_the_vanishing_weights(e, weight):
     # a_n and b_n vanish only at their own weights; perturbing one
-    # coefficient gives nonzero sums the kernel must reproduce exactly
-    for n in range(1, 13):
-        assert _binomial_sum(2 * n, e, weight) == binomial_sum_oracle(2 * n, e, weight) == 0
+    # coefficient gives nonzero sums the kernel must reproduce exactly.
+    # The n fractions T_j/(n+j) are added pairwise, level by level: n = 0
+    # has none, 6, 14, 30 and 62 leave one over on one level, 100 on three.
+    for n in [*range(0, 26, 2), 30, 62, 100]:
+        assert _binomial_sum(n, e, weight) == binomial_sum_oracle(n, e, weight) == 0
         for i in range(3):
             perturbed = tuple(c + (j == i) for j, c in enumerate(weight))
-            value = _binomial_sum(2 * n, e, perturbed)
-            assert value == binomial_sum_oracle(2 * n, e, perturbed)
-            assert value != 0
+            value = _binomial_sum(n, e, perturbed)
+            assert value == binomial_sum_oracle(n, e, perturbed)
+            assert (value != 0) == (n > 0)  # at n = 0 every weight is 0
+
+
+def test_recurrences_fail_at_the_first_n_reading_a_wrong_harmonic_number(monkeypatch):
+    # a_n(n) reads H_{2n} and H_n, so H_30 is first read at n = 15
+    real = identities.harmonic
+    monkeypatch.setattr(identities, "harmonic", lambda m: real(m) + Fraction(m == 30, 10**9))
+    report = check_recurrences(40)
+    assert not report.passed
+    assert (report.first_failure.identity, report.first_failure.n) == ("A_VANISH", 15)
+    assert report.first_failure.lhs != 0
 
 
 def test_check_recurrences_sweep():

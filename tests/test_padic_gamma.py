@@ -32,6 +32,15 @@ def test_gamma_examples():
     assert ev5.gamma_p(Fraction(1, 2)).value == 3
 
 
+def test_factorial_tables_against_math_factorial():
+    # n = p - 1 reads the full block (p-1)!, every other n a partial block
+    for p, k in [(5, 1), (7, 2), (13, 2), (11, 3)]:
+        ev, m = GammaEvaluator(ModulusContext(p, k)), p**k
+        for n in range(p):
+            assert ev.factorial(n) == factorial(n) % m, (p, k, n)
+            assert ev.inverse_factorial(n) == pow(factorial(n), -1, m), (p, k, n)
+
+
 def test_gamma_against_definition_oracle():
     for p, k in [(5, 2), (7, 2), (7, 3), (13, 1)]:
         ctx = ModulusContext(p, k)
