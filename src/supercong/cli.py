@@ -1,14 +1,18 @@
 """Batch driver: configuration, parallel prime scan, report emission.
 
-Records are emitted one per (statement, prime, parameter), sorted, to JSON
-lines (canonical) or CSV.  Identical configuration, including the seed,
-produces byte-identical reports regardless of the worker count.
+The report holds one record per (statement, prime, parameter), in that
+order, as JSON lines (canonical) or CSV.  Each (statement, prime) run of
+records is rendered to report text where it is computed, in a pool worker
+under --jobs N, and only these blocks are sorted and written.  Identical
+configuration, including the seed, produces byte-identical reports
+regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -21,6 +25,7 @@ from .congruences import (
     CONJECTURE,
     FAIL,
     PASS,
+    SKIPPED,
     STATEMENTS,
     StatementChecker,
     default_parameters,
@@ -126,25 +131,66 @@ def resolve_statements(selection: str) -> tuple[list[str], bool]:
     return ids, run_identities
 
 
-def _scan_prime(task: tuple) -> list[ReportRecord]:
-    p, stmt_ids, file_params, seed, power = task
+def _json(value) -> str:
+    if value.__class__ is int:
+        return str(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _render(records: list[ReportRecord], fmt: str) -> tuple[tuple[str, int], str, dict[str, int]]:
+    """One block of the report from a run of records that share statement, p
+    and k, in report order: its sort key (statement, p, with 0 for no p), its
+    report text and its verdict counts.  Each JSONL line is byte-equal to
+    json.dumps(record.to_dict()); statement, p and k are rendered once."""
+    first = records[0]
+    counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        for r in records:
+            counts[r.verdict] += 1
+            writer.writerow(["" if value is None else value for value in r.to_dict().values()])
+        text = buffer.getvalue()
+    else:
+        head = f'{{"statement": {json.dumps(first.statement)}, "p": {_json(first.p)}, "k": {_json(first.k)}, '
+        ends: dict = {}  # (verdict, skip reason) -> the end of the line
+        lines = []
+        for r in records:
+            counts[r.verdict] += 1
+            end = ends.get((r.verdict, r.skip_reason))
+            if end is None:
+                end = ends[r.verdict, r.skip_reason] = (
+                    f'"verdict": {json.dumps(r.verdict)}, "skip_reason": {_json(r.skip_reason)}}}\n'
+                )
+            a_num, a_den = ("null", "null") if r.a is None else (r.a.numerator, r.a.denominator)
+            lines.append(
+                f'{head}"a_num": {a_num}, "a_den": {a_den}, "lhs": {_json(r.lhs)}, "rhs": {_json(r.rhs)}, {end}'
+            )
+        text = "".join(lines)
+    return (first.statement, first.p or 0), text, counts
+
+
+def _scan_prime(task: tuple) -> list[tuple]:
+    """The report blocks of one prime, one per statement: plain strings and
+    dicts, so that a pool worker ships no record and no Fraction."""
+    p, stmt_ids, file_params, seed, power, fmt = task
     checker = StatementChecker(p)
     params = None
-    records = []
+    blocks = []
     for stmt_id in stmt_ids:
-        st = STATEMENTS[stmt_id]
-        if st.takes_param:
+        if STATEMENTS[stmt_id].takes_param:
             if params is None:  # ascending: each (statement, p) run of records is in report order
                 params = sorted(file_params if file_params is not None else default_parameters(p, seed))
-            for a in params:
-                records.append(checker.check(stmt_id, a, power=power))
+            run = [checker.check(stmt_id, a, power=power) for a in params]
         else:
-            records.append(checker.check(stmt_id, power=power))
-    return records
+            run = [checker.check(stmt_id, power=power)]
+        blocks.append(_render(run, fmt))
+    return blocks
 
 
-def _identity_records(n_max: int) -> list[ReportRecord]:
-    records = []
+def _identity_records(n_max: int, fmt: str) -> list[tuple]:
+    """The report blocks of the identity sweep: one per identity, then RECURRENCES."""
+    blocks = []
     evens = range(0, n_max + 1, 2)
     for ident, ns in (
         ("B8", evens),
@@ -154,135 +200,95 @@ def _identity_records(n_max: int) -> list[ReportRecord]:
         ("GAUSS_HALF", evens),
         ("CLAUSEN", range(n_max + 1)),
     ):
+        run = []
         for n in ns:
             chk = identities._CHECKERS[ident](n)
-            records.append(
+            run.append(
                 ReportRecord(
                     ident, None, None, Fraction(n), str(chk.lhs), str(chk.rhs),
                     PASS if chk.ok else FAIL,
                 )
             )
+        blocks.append(_render(run, fmt))
     rec_report = identities.check_recurrences(n_max)
     failure = rec_report.first_failure
-    records.append(
-        ReportRecord(
-            "RECURRENCES",
-            None,
-            None,
-            Fraction(n_max),
-            "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}",
-            "0",
-            PASS if rec_report.passed else FAIL,
-        )
-    )
-    return records
+    lhs = "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}"
+    record = ReportRecord("RECURRENCES", None, None, Fraction(n_max), lhs, "0", PASS if rec_report.passed else FAIL)
+    blocks.append(_render([record], fmt))
+    return blocks
 
 
-def _record_sort_key(record: ReportRecord):
-    # Records of one (statement, p) already come in ascending a (parameters and
-    # identity indices are made in that order), and the sort is stable, so the
-    # report is ordered by (statement, p, a) without comparing Fractions.
-    return (record.statement, record.p if record.p is not None else 0, record.a is not None)
-
-
-def collect_records(config: ScanConfig) -> list[ReportRecord]:
-    records: list[ReportRecord] = []
+def collect_records(config: ScanConfig) -> list[tuple]:
+    """The report's blocks in report order: by statement, then prime."""
+    blocks: list[tuple] = []
     if config.statements:
         primes = sieve_primes(config.lo, config.hi)
         tasks = [  # largest, that is costliest, primes first
-            (p, tuple(config.statements), config.file_params, config.seed, config.power)
+            (p, tuple(config.statements), config.file_params, config.seed, config.power, config.fmt)
             for p in reversed(primes)
         ]
         if config.jobs > 1 and len(tasks) > 1:
             # under fork the pool starts every worker up front: no more than there are tasks
             with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
                 for batch in pool.map(_scan_prime, tasks):
-                    records.extend(batch)
+                    blocks.extend(batch)
         else:
             for task in tasks:
-                records.extend(_scan_prime(task))
+                blocks.extend(_scan_prime(task))
     if config.run_identities:
-        records.extend(_identity_records(config.n_max))
-    records.sort(key=_record_sort_key)
-    return records
+        blocks.extend(_identity_records(config.n_max, config.fmt))
+    blocks.sort(key=lambda block: block[0])  # each (statement, p) key once
+    return blocks
 
 
-def write_records(records: list[ReportRecord], fmt: str, stream) -> None:
-    if fmt == "jsonl":
-        # Each line is byte-equal to json.dumps(record.to_dict()): integers and
-        # None are written as text, and strings go through json.dumps, each
-        # statement, verdict and skip reason once.  Write record by record:
-        # with the whole report in one write, a reader that closed the pipe
-        # early went unnoticed and the scan exited 0.
-        quoted: dict = {}
-
-        def quote(name) -> str:
-            line = quoted.get(name)
-            if line is None:
-                line = quoted[name] = json.dumps(name)
-            return line
-
-        def text(value) -> str:
-            if value.__class__ is int:
-                return str(value)
-            return "null" if value is None else json.dumps(value)
-
-        for r in records:
-            a_num, a_den = ("null", "null") if r.a is None else (r.a.numerator, r.a.denominator)
-            stream.write(
-                f'{{"statement": {quote(r.statement)}, "p": {text(r.p)}, "k": {text(r.k)}, '
-                f'"a_num": {a_num}, "a_den": {a_den}, "lhs": {text(r.lhs)}, "rhs": {text(r.rhs)}, '
-                f'"verdict": {quote(r.verdict)}, "skip_reason": {quote(r.skip_reason)}}}\n'
-            )
-    else:
-        columns = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for record in records:
-            row = record.to_dict()
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+def write_records(blocks: list[tuple], fmt: str, stream) -> None:
+    # Write block by block: with the whole report in one write, a reader that
+    # closed the pipe early went unnoticed and the scan exited 0.
+    if fmt == "csv":
+        stream.write("statement,p,k,a_num,a_den,lhs,rhs,verdict,skip_reason\n")
+    for _, text, _ in blocks:
+        stream.write(text)
 
 
-def summarize(records: list[ReportRecord]) -> str:
+def summarize(blocks: list[tuple]) -> str:
     counts: dict[str, dict[str, int]] = {}
-    for record in records:
-        slot = counts.setdefault(record.statement, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-        slot[record.verdict] += 1
+    for (statement, _), _, block_counts in blocks:
+        slot = counts.setdefault(statement, {PASS: 0, FAIL: 0, SKIPPED: 0})
+        for verdict, n in block_counts.items():
+            slot[verdict] += n
     lines = [f"{'statement':<12} {'PASS':>7} {'FAIL':>7} {'SKIPPED':>8}"]
-    total = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
+    total = {PASS: 0, FAIL: 0, SKIPPED: 0}
     for name in sorted(counts):
         slot = counts[name]
-        lines.append(f"{name:<12} {slot['PASS']:>7} {slot['FAIL']:>7} {slot['SKIPPED']:>8}")
+        lines.append(f"{name:<12} {slot[PASS]:>7} {slot[FAIL]:>7} {slot[SKIPPED]:>8}")
         for key in total:
             total[key] += slot[key]
-    lines.append(f"{'total':<12} {total['PASS']:>7} {total['FAIL']:>7} {total['SKIPPED']:>8}")
+    lines.append(f"{'total':<12} {total[PASS]:>7} {total[FAIL]:>7} {total[SKIPPED]:>8}")
     return "\n".join(lines)
 
 
-def _exit_code(records: list[ReportRecord], strict: bool) -> int:
-    for record in records:
-        if record.verdict != FAIL:
-            continue
-        stmt = STATEMENTS.get(record.statement)
-        conjectural = stmt is not None and stmt.kind == CONJECTURE
-        if not conjectural or strict:
+def _exit_code(blocks: list[tuple], strict: bool) -> int:
+    for (statement, _), _, counts in blocks:
+        stmt = STATEMENTS.get(statement)  # None for the identity sweep
+        if counts[FAIL] and (strict or stmt is None or stmt.kind != CONJECTURE):
             return EXIT_FAIL
     return EXIT_OK
 
 
 def run_scan(config: ScanConfig) -> int:
     """Execute the configured checks, write the report, print the summary."""
-    records = collect_records(config)
+    blocks = collect_records(config)
     if config.out == "-":
-        write_records(records, config.fmt, sys.stdout)
+        write_records(blocks, config.fmt, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        print(summarize(records), file=sys.stderr)
+        print(summarize(blocks), file=sys.stderr)
     else:
         with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            write_records(records, config.fmt, handle)
-        print(summarize(records))
-        print(f"report: {config.out} ({len(records)} records)")
-    return _exit_code(records, config.strict)
+            write_records(blocks, config.fmt, handle)
+        print(summarize(blocks))
+        n_records = sum(sum(counts.values()) for _, _, counts in blocks)
+        print(f"report: {config.out} ({n_records} records)")
+    return _exit_code(blocks, config.strict)
 
 
 def _env_default(name: str, fallback):

@@ -89,8 +89,9 @@ def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) ->
     terms, term = [], 1 << e * n
     for k in range(n + 1):
         terms.append(term)
-        # term k+1 over term k: -(2(2k+1))^(e-1) (n+k+1)(n-k) / (2^e (k+1)^(e+1)), exact
-        term = -term * (4 * k + 2) ** (e - 1) * (n + k + 1) * (n - k) // ((k + 1) ** (e + 1) << e)
+        # term k+1 over term k: -(2(2k+1))^(e-1) (n+k+1)(n-k) / (2^e (k+1)^(e+1)), exact;
+        # the small factors go first, so the big term takes one product and one division
+        term = -term * ((4 * k + 2) ** (e - 1) * (n + k + 1) * (n - k)) // ((k + 1) ** (e + 1) << e)
     if weight is None:
         return Fraction(sum(terms), 1 << e * n)
     c_run, c_n, c_half = weight

@@ -1,7 +1,10 @@
+import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +29,17 @@ from supercong.cli import (
     summarize,
     write_records,
 )
-from supercong.congruences import FAIL, SKIPPED, ReportRecord, StatementChecker
+from supercong.congruences import (
+    CONJECTURE,
+    FAIL,
+    PASS,
+    SKIPPED,
+    STATEMENTS,
+    ReportRecord,
+    StatementChecker,
+    default_parameters,
+)
+from supercong.padic_core import sieve_primes
 
 COLUMNS = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
 
@@ -95,8 +108,10 @@ def test_scan_config_validation():
 def test_repeated_statement_ids_give_one_record_per_point():
     config = ScanConfig(lo=5, hi=5, statements=["SUN_A2", "SUN_A2"], run_identities=False)
     assert config.statements == ["SUN_A2"]
-    records = collect_records(config)
-    assert len(records) == len({(r.statement, r.p, r.a) for r in records}) == 29
+    blocks = collect_records(config)
+    assert [key for key, _, _ in blocks] == [("SUN_A2", 5)]
+    rows = [json.loads(line) for _, text, _ in blocks for line in text.splitlines()]
+    assert len(rows) == len({(r["statement"], r["p"], r["a_num"], r["a_den"]) for r in rows}) == 29
 
 
 def test_small_scan_jsonl(tmp_path, capsys):
@@ -205,12 +220,114 @@ def test_jsonl_lines_equal_json_dumps_of_each_record():
         ReportRecord("RECURRENCES", None, None, Fraction(12), "A_VANISH[7]=-1/2", "0", FAIL),
         ReportRecord("B8", None, None, Fraction(0), 'say "\\é"\t', "0", FAIL),  # escapes
     ]
-    records += cli._identity_records(4)  # exact-rational string sides
     assert {r.skip_reason for r in records if r.verdict == SKIPPED} == {"parity", "not a p-adic integer"}
+    singles = [cli._render([r], "jsonl") for r in records]
     stream = io.StringIO()
-    write_records(records, "jsonl", stream)
-    assert stream.getvalue().splitlines() == [json.dumps(r.to_dict()) for r in records]
-    assert stream.getvalue().endswith("\n")
+    write_records(singles, "jsonl", stream)
+    assert stream.getvalue() == "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+    assert [key for key, _, _ in singles[-3:]] == [("THM2_A5", 5), ("RECURRENCES", 0), ("B8", 0)]
+    # one (statement, p) run: the line head is rendered once, verdicts and skip reasons per line
+    key, text, counts = cli._render(records[:3], "jsonl")
+    assert text.splitlines() == [json.dumps(r.to_dict()) for r in records[:3]]
+    assert key == ("THM1_A4", 5) and counts == {"PASS": 1, "FAIL": 0, "SKIPPED": 2}
+    # exact-rational string sides of the identity sweep
+    blocks = cli._identity_records(4, "jsonl")
+    lines = [line for _, text, _ in blocks for line in text.splitlines(keepends=True)]
+    assert len(lines) == 21 and all(json.dumps(json.loads(line)) + "\n" == line for line in lines)
+    assert any(isinstance(json.loads(line)["lhs"], str) and "/" in line for line in lines)
+
+
+def _oracle_records(statements, primes, seed=0, power=None, params=None, n_max=None) -> list[ReportRecord]:
+    """The report's records by a plain loop: one check per (statement, p, a), sorted."""
+    runs = {}
+    checkers = {p: StatementChecker(p) for p in primes}
+    for stmt_id in statements:
+        runs[stmt_id] = []
+        for p, checker in checkers.items():
+            if not STATEMENTS[stmt_id].takes_param:
+                runs[stmt_id].append(checker.check(stmt_id, power=power))
+                continue
+            for a in sorted(set(params) if params is not None else default_parameters(p, seed)):
+                runs[stmt_id].append(checker.check(stmt_id, a, power=power))
+    if n_max is not None:
+        for ident, check in identities._CHECKERS.items():
+            ns = range(n_max + 1) if ident == "CLAUSEN" else range(0, n_max + 1, 2)
+            runs[ident] = [
+                ReportRecord(ident, None, None, Fraction(n), str(c.lhs), str(c.rhs), PASS if c.ok else FAIL)
+                for n, c in zip(ns, map(check, ns))
+            ]
+        assert identities.check_recurrences(n_max).passed
+        runs["RECURRENCES"] = [ReportRecord("RECURRENCES", None, None, Fraction(n_max), "0", "0", PASS)]
+    return [r for name in sorted(runs) for r in runs[name]]
+
+
+def _oracle_report(records: list[ReportRecord], fmt: str) -> bytes:
+    if fmt == "jsonl":
+        return "".join(json.dumps(r.to_dict()) + "\n" for r in records).encode()
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for r in records:
+        writer.writerow(["" if v is None else v for v in r.to_dict().values()])
+    return stream.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "selection, primes, extra",
+    [
+        ("theorems", "5..199", []),
+        ("conjectures", "5..199", []),
+        ("all", "5..61", ["--power", "1", "--n-max", "20"]),
+        ("all", "5..61", ["--power", "3", "--n-max", "20"]),
+        ("all", "5..31", ["--format", "csv", "--n-max", "12"]),
+        ("all", "5..13", ["--params", "PARAMS", "--n-max", "4"]),
+    ],
+    ids=["theorems", "conjectures", "power1", "power3", "csv", "params"],
+)
+def test_report_equals_slow_path_oracle(tmp_path, selection, primes, extra):
+    # The writer against a plain loop: check each point, sort, json.dumps or
+    # csv.writer each record, under both the serial and the pool path.
+    params = tmp_path / "params.txt"
+    params.write_text("7\n-1/3\n3\n-5/2\n0\n7\n2/5\n-1/3\n-4\n1/2\n")  # repeated, negative, 2/5 not 5-adic
+    extra = [str(params) if arg == "PARAMS" else arg for arg in extra]
+    args = build_parser().parse_args(["--statements", selection, "--primes", primes] + extra)
+    config = config_from_args(args)
+    records = _oracle_records(
+        config.statements, sieve_primes(config.lo, config.hi), config.seed, config.power,
+        config.file_params, config.n_max if config.run_identities else None,
+    )
+    fails = {r.statement for r in records if r.verdict == FAIL}
+    exit_code = EXIT_FAIL if any(s not in STATEMENTS or STATEMENTS[s].kind != CONJECTURE for s in fails) else EXIT_OK
+    expected = _oracle_report(records, config.fmt)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report-{jobs}"
+        argv = ["--statements", selection, "--primes", primes, "--jobs", jobs, "--out", str(out)] + extra
+        assert main(argv) == exit_code
+        assert out.read_bytes() == expected
+
+
+def test_prime_task_ships_no_record_and_no_fraction():
+    # a pool worker's result is pickled: report text and verdict counts only
+    blocks = cli._scan_prime((31, tuple(STATEMENTS), None, 0, None, "jsonl"))
+    payload = pickle.dumps(blocks)
+    assert b"ReportRecord" not in payload and b"fractions" not in payload
+    # eight theorems and CONJ_S4 over 31 + 24 parameters, CONJ_S1..S3 once each
+    assert sum(sum(counts.values()) for _, _, counts in blocks) == 9 * (31 + 24) + 3
+
+
+@pytest.mark.parametrize(
+    "stmt_id, strict, code",
+    [("SUN_A2", False, EXIT_FAIL), ("CONJ_S1", False, EXIT_OK), ("CONJ_S1", True, EXIT_FAIL)],
+)
+def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_id, strict, code):
+    # the pool forks after the patch, so every worker's checks see unequal sides
+    broken = dataclasses.replace(STATEMENTS[stmt_id], sides=lambda *args: (0, 1))
+    monkeypatch.setitem(STATEMENTS, stmt_id, broken)
+    out = tmp_path / "report.jsonl"
+    argv = ["--statements", stmt_id, "--primes", "5..13", "--jobs", "2", "--out", str(out)]
+    assert main(argv + (["--strict"] if strict else [])) == code
+    verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
+    assert FAIL in verdicts and PASS not in verdicts
 
 
 def _full_key(row: dict) -> tuple:
@@ -438,18 +555,16 @@ def test_cli_import_leaves_sympy_out():
 
 def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):
     # force a FAIL by corrupting one verdict before exit-code evaluation
-    import supercong.cli as cli_mod
-
     config = ScanConfig(lo=5, hi=5, statements=["THM1_A4"], run_identities=False)
-    records = collect_records(config)
-    bad = records[0].__class__(
-        "THM1_A4", 5, 2, Fraction(0), 1, 2, "FAIL", None
-    )
-    assert cli_mod._exit_code(records + [bad], strict=False) == 1
-    assert cli_mod._exit_code(records, strict=False) == 0
-    conj_bad = records[0].__class__("CONJ_S1", 5, 3, None, 1, 2, "FAIL", None)
-    assert cli_mod._exit_code(records + [conj_bad], strict=False) == 0  # finding, not failure
-    assert cli_mod._exit_code(records + [conj_bad], strict=True) == 1
+    blocks = collect_records(config)
+    bad = cli._render([ReportRecord("THM1_A4", 5, 2, Fraction(0), 1, 2, FAIL)], "jsonl")
+    assert cli._exit_code(blocks + [bad], strict=False) == 1
+    assert cli._exit_code(blocks, strict=False) == 0
+    conj_bad = cli._render([ReportRecord("CONJ_S1", 5, 3, None, 1, 2, FAIL)], "jsonl")
+    assert cli._exit_code(blocks + [conj_bad], strict=False) == 0  # finding, not failure
+    assert cli._exit_code(blocks + [conj_bad], strict=True) == 1
+    ident_bad = cli._render([ReportRecord("RECURRENCES", None, None, Fraction(4), "x", "0", FAIL)], "jsonl")
+    assert cli._exit_code(blocks + [ident_bad], strict=False) == 1
 
 
 def test_power_override_keeps_theorem_exit_status(tmp_path):
@@ -461,11 +576,13 @@ def test_power_override_keeps_theorem_exit_status(tmp_path):
 
 def test_summary_counts():
     config = ScanConfig(lo=5, hi=7, statements=["SUN_A2"], run_identities=False)
-    records = collect_records(config)
-    text = summarize(records)
-    assert "SUN_A2" in text and "total" in text
-    passes = sum(1 for r in records if r.verdict == "PASS")
-    assert f"{passes:>7}" in text
+    blocks = collect_records(config)
+    assert [key for key, _, _ in blocks] == [("SUN_A2", 5), ("SUN_A2", 7)]
+    rows = [json.loads(line) for _, text, _ in blocks for line in text.splitlines()]
+    n = {v: sum(r["verdict"] == v for r in rows) for v in ("PASS", "FAIL", "SKIPPED")}
+    assert n["PASS"] and n["SKIPPED"] and len(rows) == sum(n.values())
+    row = f"{n['PASS']:>7} {n['FAIL']:>7} {n['SKIPPED']:>8}"
+    assert summarize(blocks).splitlines()[1:] == [f"{'SUN_A2':<12} {row}", f"{'total':<12} {row}"]
 
 
 def test_run_scan_unwritable_path(tmp_path):
