@@ -319,8 +319,14 @@ def _env_flag(name: str) -> bool:
     raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not 1/true/yes or 0/false/no")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # main prints one line and exits 2, not argparse's usage text and SystemExit
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supercong",
         description="Verify truncated hypergeometric congruences and the exact "
         "identities behind them.  Flags can be preset via SUPERCONG_* "

@@ -75,20 +75,6 @@ class ReportRecord:
         }
 
 
-def _sign_value(exponent: int, modulus: int) -> int:
-    return 1 if exponent % 2 == 0 else modulus - 1
-
-
-def _plus_half_sign(p: int, modulus: int) -> int:
-    # (-1)^((p+1)/2)
-    return _sign_value((p + 1) // 2, modulus)
-
-
-def _minus_half_sign(p: int, modulus: int) -> int:
-    # (-1)^((p-1)/2)
-    return _sign_value((p - 1) // 2, modulus)
-
-
 def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
     """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k, from the lift x of a mod p^k."""
     m = ev.ctx.modulus
@@ -96,20 +82,16 @@ def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
     return ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
 
 
-def _minus_one(p: int, modulus: int) -> int:
-    return modulus - 1
-
-
 #: Per fixed conjecture: series parameter, Gamma arguments, the modulus and
 #: residue classes of p in its first case, the rational prefactor of p^2 in its
-#: second case, and the sign rule (p, p^k) -> +-1 mod p^k of each case.
+#: second case, and the exponent e(p) of the sign (-1)^e of each case.
 _CONJ_DATA = {
     "CONJ_S1": (Fraction(-1, 3), Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18),
-                _plus_half_sign, _minus_half_sign),
+                lambda p: (p + 1) // 2, lambda p: (p - 1) // 2),
     "CONJ_S2": (Fraction(-1, 4), Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64),
-                _plus_half_sign, _minus_half_sign),
+                lambda p: (p + 1) // 2, lambda p: (p - 1) // 2),
     "CONJ_S3": (Fraction(-1, 6), Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144),
-                _minus_one, _minus_one),
+                lambda p: 1, lambda p: 1),
 }
 
 
@@ -125,9 +107,9 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
     g = ev.gamma_p(arg1).value * ev.gamma_p(arg2).value % m
     gg = g * g % m
     if p % mod_base in first_classes:
-        return Residue(sign_first(p, m) * gg % m, ctx)
+        return Residue(pow(-1, sign_first(p), m) * gg % m, ctx)
     scale = p * p % m * pow(prefactor.denominator, -1, m) % m * prefactor.numerator % m
-    return Residue(sign_second(p, m) * scale % m * gg % m, ctx)
+    return Residue(pow(-1, sign_second(p), m) * scale % m * gg % m, ctx)
 
 
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
@@ -140,7 +122,7 @@ def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None
 def _thm1_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
     # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
     ev, m = chk.gamma(k), chk.ctx(k).modulus
-    free_of_a = _plus_half_sign(chk.p, m) * ev.gamma_at((m + 1) // 2) % m
+    free_of_a = pow(-1, (chk.p + 1) // 2, m) * ev.gamma_at((m + 1) // 2) % m
     return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(chk.lift(a, k), ev) % m
 
 
@@ -148,7 +130,7 @@ def _thm2_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int
     # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S4, mod p^3
     m = chk.ctx(k).modulus
     g = _gamma_pair(chk.lift(a, k), chk.gamma(k))
-    return chk.series(series_3f2_one, a, k), _plus_half_sign(chk.p, m) * g % m * g % m
+    return chk.series(series_3f2_one, a, k), pow(-1, (chk.p + 1) // 2, m) * g % m * g % m
 
 
 def _thm3_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
@@ -168,9 +150,9 @@ def _trace_c9_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple
     d = (chk.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
     hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
     w = d * hdiff * ((p + 1) // 2) % p
-    # C(r, r/2) / 4^(r/2) = r! / ((r/2)!^2 2^r) from the factorial tables: r < p, all units
-    rhs = ev.factorial(r) * ev.inverse_factorial(r // 2) ** 2 % m * pow((m + 1) // 2, r, m) % m
-    rhs = rhs * _sign_value(r // 2, m) % m
+    # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
+    rhs = ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
+    rhs = rhs * pow(-1, r // 2, m) % m
     return chk.series(series_2f1_half, a, k), rhs * (1 + w * p) % m
 
 
@@ -223,49 +205,38 @@ def comparison_power(stmt_id: str, power: int | None = None) -> int:
 class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
-    One instance serves every statement and parameter at its prime; contexts
-    and Gamma evaluators are created per power on first use and reused.  Each
-    parameter is reduced mod p once and lifted mod p^k once per k, every
-    Gamma-side value is then computed from those integers, and each truncated
-    series is evaluated once per (k, a) whichever statements read it.
+    One instance serves every statement and parameter at its prime; Gamma
+    evaluators, which carry the contexts, are created per power on first use
+    and reused.  Each parameter is lifted mod p^k once per k: the lift gives
+    the p-adic hypothesis, the least residue r = x mod p and every Gamma-side
+    value, and each truncated series is evaluated once per (k, a) whichever
+    statements read it.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self._ctx: dict[int, ModulusContext] = {}
         self._gamma: dict[int, GammaEvaluator] = {}
-        self._points: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
-        self._lifts: dict[tuple[int, int, int], int] = {}
+        self._lifts: dict[tuple[int, int, int], int | None] = {}
         self._series: dict[tuple, int] = {}
 
     def ctx(self, k: int) -> ModulusContext:
-        if k not in self._ctx:
-            self._ctx[k] = ModulusContext(self.p, k)
-        return self._ctx[k]
+        return self.gamma(k).ctx
 
     def gamma(self, k: int) -> GammaEvaluator:
         if k not in self._gamma:
-            self._gamma[k] = GammaEvaluator(self.ctx(k))
+            self._gamma[k] = GammaEvaluator(ModulusContext(self.p, k))
         return self._gamma[k]
 
-    def point(self, a: RationalLike) -> tuple[Fraction, int | None]:
-        """a as a Fraction and its least residue mod p (None unless a is a p-adic integer)."""
-        key = (a.numerator, a.denominator)  # hashes far faster than a Fraction
-        point = self._points.get(key)
-        if point is None:
-            f = Fraction(a)
-            r = None if f.denominator % self.p == 0 else least_residue(f, self.p)
-            point = self._points[key] = (f, r)
-        return point
-
-    def lift(self, a: Fraction, k: int) -> int:
-        """The p-adic integer a mod p^k, in [0, p^k), computed once per (k, a)."""
-        key = (k, a.numerator, a.denominator)
-        x = self._lifts.get(key)
-        if x is None:
-            m = self.ctx(k).modulus
-            x = self._lifts[key] = a.numerator * pow(a.denominator, -1, m) % m
-        return x
+    def lift(self, a: Fraction, k: int) -> int | None:
+        """a mod p^k, in [0, p^k), computed once per (k, a); None when p divides a's denominator."""
+        key = (k, a.numerator, a.denominator)  # hashes far faster than a Fraction
+        try:
+            return self._lifts[key]
+        except KeyError:
+            m = self.p**k
+            x = None if a.denominator % self.p == 0 else a.numerator * pow(a.denominator, -1, m) % m
+            self._lifts[key] = x
+            return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:
         """kernel(a, ctx(k), lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
@@ -289,9 +260,12 @@ class StatementChecker:
         if st.takes_param:
             if a is None:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
-            a, r = self.point(a)
-            if r is None:
+            if not isinstance(a, Fraction):  # API callers pass ints
+                a = Fraction(a)
+            x = self.lift(a, k)
+            if x is None:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
+            r = x % p
             if st.parity is not None and (r % 2 == 0) != (st.parity == "even"):
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
         elif a is not None:

@@ -32,8 +32,8 @@ from .padic_core import (
 class GammaEvaluator:
     """Gamma_p mod p^k by the block formula: O(p) tables of (r-1)! times
     (1, H_{r-1}, e2_{r-1}) mod p^k, one per residue r (and (1, 0, 0) for r = 0),
-    then one modular power per call.  The (r-1)! column and a table of inverse
-    factorials give n! and 1/n! mod p^k for n < p.  Immutable after construction."""
+    then one modular power per call.  The (r-1)! column gives n! mod p^k for
+    n < p.  Immutable after construction."""
 
     def __init__(self, ctx: ModulusContext):
         self.ctx = ctx
@@ -48,18 +48,10 @@ class GammaEvaluator:
             fact = fact * r % modulus
         self._coeffs = tuple(coeffs)
         self._block = fact  # (p-1)!
-        inv_facts = [pow(fact, -1, modulus)]  # 1/n! for n = p-1 down to 0
-        for n in range(p - 1, 0, -1):
-            inv_facts.append(inv_facts[-1] * n % modulus)
-        self._inv_facts = tuple(reversed(inv_facts))
 
     def factorial(self, n: int) -> int:
         """n! mod p^k for 0 <= n < p."""
         return self._block if n == self.ctx.p - 1 else self._coeffs[n + 1][0]
-
-    def inverse_factorial(self, n: int) -> int:
-        """1/n! mod p^k for 0 <= n < p."""
-        return self._inv_facts[n]
 
     def gamma_at(self, m: int) -> int:
         """Gamma_p at the non-negative integer m, as an int in [0, modulus)."""

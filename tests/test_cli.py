@@ -421,6 +421,22 @@ def test_empty_params_file_is_a_usage_error(tmp_path, capsys):
     assert main(argv + ["--statements", "CONJ_S1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["--n-max", "x"], "error: argument --n-max: invalid int value: 'x'\n"),
+        (["--power", "5"], "error: argument --power: invalid choice: "),
+        (["--format", "xml"], "error: argument --format: invalid choice: "),
+        (["--bogus"], "error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["n-max", "power", "format", "bogus"],
+)
+def test_bad_flag_is_a_one_line_usage_error(capsys, argv, start):
+    # argparse's own handler would print its usage text too and raise SystemExit
+    assert main(argv) == EXIT_USAGE
+    assert _usage_error_line(capsys).startswith(start)
+
+
 def test_power2_scan_past_p46340_runs(tmp_path):
     # 46349^2 > 2^31; Python integers need no bound on the modulus
     params = tmp_path / "params.txt"

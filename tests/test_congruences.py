@@ -4,7 +4,8 @@ from math import comb, factorial
 
 import pytest
 
-from supercong.padic_core import ModulusContext, least_residue, sieve_primes
+from supercong import cli, congruences
+from supercong.padic_core import ModulusContext, least_residue, reduce_rational, sieve_primes
 from supercong.padic_gamma import g1
 from supercong.hyperseries import series_2f1_half
 from supercong.congruences import (
@@ -336,6 +337,32 @@ def test_rhs_conj_case_selection():
 def test_non_p_adic_parameter_is_skipped():
     rec = check_statement("THM1_A4", 5, Fraction(1, 5))
     assert rec.verdict == SKIPPED and "p-adic" in rec.skip_reason
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_lift_is_the_checkers_only_reduction(p):
+    checker = StatementChecker(p)
+    extra = [Fraction(1, p), Fraction(3, 2 * p), Fraction(-1), Fraction(-p - 3), Fraction(p), Fraction(p * p + 2)]
+    for k in (1, 2, 3):
+        ctx = ModulusContext(p, k)
+        for a in default_parameters(p) + extra:
+            x = checker.lift(a, k)
+            if a.denominator % p == 0:
+                assert x is None, (p, k, a)
+            else:
+                assert x % p == least_residue(a, p) and x == reduce_rational(a, ctx).value, (p, k, a)
+    assert type(checker.check("THM1_A4", 2).a) is Fraction  # API callers pass ints
+    a = Fraction(-1, 2)
+    assert checker.check("THM1_A4", a).a is a
+
+
+def test_scan_reduces_parameters_only_through_the_lift(monkeypatch):
+    def refuse(a, p):
+        raise AssertionError(f"least_residue({a}, {p}) called")
+
+    monkeypatch.setattr(congruences, "least_residue", refuse)
+    blocks = cli._scan_prime((13, tuple(STATEMENTS), None, 0, None, "jsonl"))
+    assert [key for key, _, _ in blocks] == [(s, 13) for s in STATEMENTS]
 
 
 def test_parameter_arity_enforced():
