@@ -11,13 +11,10 @@ regardless of the worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import identities
@@ -46,41 +43,64 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class ScanConfig:
-    lo: int
-    hi: int
-    statements: list[str]
-    run_identities: bool
-    seed: int = 0
-    jobs: int = 1
-    out: str = "-"
-    fmt: str = "jsonl"
-    strict: bool = False
-    n_max: int = 100
-    power: int | None = None
-    file_params: list[Fraction] | None = field(default=None)
+def __getattr__(name: str):
+    # ProcessPoolExecutor loads multiprocessing, pickle and socket: it is
+    # imported on first read, which only a scan with --jobs N > 1 makes.
+    # Stored as a module global, it can then be read and patched as before.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ConfigError(f"empty prime range {self.lo}..{self.hi}")
-        if self.jobs < 1:
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+class ScanConfig:
+    """One scan's settings, checked when it is built: a bad value raises
+    ConfigError.  Configurations compare by value."""
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        statements: list[str],
+        run_identities: bool,
+        seed: int = 0,
+        jobs: int = 1,
+        out: str = "-",
+        fmt: str = "jsonl",
+        strict: bool = False,
+        n_max: int = 100,
+        power: int | None = None,
+        file_params: list[Fraction] | None = None,
+    ) -> None:
+        if lo > hi:
+            raise ConfigError(f"empty prime range {lo}..{hi}")
+        if jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.fmt not in ("jsonl", "csv"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        self.statements = list(dict.fromkeys(self.statements))  # one record per (statement, p, a)
-        unknown = [s for s in self.statements if s not in STATEMENTS]
+        if fmt not in ("jsonl", "csv"):
+            raise ConfigError(f"unknown format {fmt!r}")
+        if power not in (None, 1, 2, 3):
+            raise ConfigError(f"power must be 1, 2 or 3, got {power}")
+        statements = list(dict.fromkeys(statements))  # one record per (statement, p, a)
+        unknown = [s for s in statements if s not in STATEMENTS]
         if unknown:
             raise ConfigError(f"unknown statements: {', '.join(unknown)}")
-        if self.n_max < 0:
-            raise ConfigError(f"--n-max (SUPERCONG_N_MAX) must be >= 0, got {self.n_max}")
+        if n_max < 0:
+            raise ConfigError(f"--n-max (SUPERCONG_N_MAX) must be >= 0, got {n_max}")
         # a scan that checks nothing would report nothing and still exit 0
-        if not self.statements and not self.run_identities:
+        if not statements and not run_identities:
             raise ConfigError("no statements selected")
-        if self.statements and not any(is_prime(n) for n in range(max(self.lo, 5), self.hi + 1)):
-            raise ConfigError(f"no primes >= 5 in {self.lo}..{self.hi}")
-        if self.file_params == [] and any(STATEMENTS[s].takes_param for s in self.statements):
+        if statements and not any(is_prime(n) for n in range(max(lo, 5), hi + 1)):
+            raise ConfigError(f"no primes >= 5 in {lo}..{hi}")
+        if file_params == [] and any(STATEMENTS[s].takes_param for s in statements):
             raise ConfigError("the --params file holds no parameters")
+        self.lo, self.hi, self.statements, self.run_identities = lo, hi, statements, run_identities
+        self.seed, self.jobs, self.out, self.fmt, self.strict = seed, jobs, out, fmt, strict
+        self.n_max, self.power, self.file_params = n_max, power, file_params
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
 
 def parse_params(path: str) -> list[Fraction]:
@@ -145,6 +165,8 @@ def _render(records: list[ReportRecord], fmt: str) -> tuple[tuple[str, int], str
     first = records[0]
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     if fmt == "csv":
+        import csv  # loaded only by a CSV report
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         for r in records:
@@ -229,7 +251,8 @@ def collect_records(config: ScanConfig) -> list[tuple]:
         ]
         if config.jobs > 1 and len(tasks) > 1:
             # under fork the pool starts every worker up front: no more than there are tasks
-            with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
+            pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+            with pool_class(max_workers=min(config.jobs, len(tasks))) as pool:
                 for batch in pool.map(_scan_prime, tasks):
                     blocks.extend(batch)
         else:
@@ -277,13 +300,16 @@ def _exit_code(blocks: list[tuple], strict: bool) -> int:
 
 def run_scan(config: ScanConfig) -> int:
     """Execute the configured checks, write the report, print the summary."""
-    blocks = collect_records(config)
     if config.out == "-":
+        blocks = collect_records(config)
         write_records(blocks, config.fmt, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         print(summarize(blocks), file=sys.stderr)
     else:
+        # opened before the scan, as a shell redirection is: a path that
+        # cannot be written fails at once, not after the whole scan
         with open(config.out, "w", encoding="utf-8", newline="") as handle:
+            blocks = collect_records(config)
             write_records(blocks, config.fmt, handle)
         print(summarize(blocks))
         n_records = sum(sum(counts.values()) for _, _, counts in blocks)

@@ -8,9 +8,8 @@ p-adic integer at p) yield SKIPPED, never FAIL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .padic_core import (
     ModulusContext,
@@ -30,36 +29,59 @@ THEOREM = "theorem"
 CONJECTURE = "conjecture"
 
 
-@dataclass(frozen=True)
-class Statement:
-    """Catalog entry: modulus power, statement class, hypothesis on (p, a),
-    and ``sides(checker, a, r, k)``, the (lhs, rhs) pair mod p^k."""
+class Statement(
+    namedtuple("Statement", "id power kind parity takes_param sides fixed_power", defaults=(False,))
+):
+    """Catalog entry: modulus power, statement class (THEOREM or CONJECTURE),
+    the required parity "even" or "odd" of least_residue(a, p) or None,
+    whether it takes a parameter a, and ``sides(checker, a, r, k)``, the
+    (lhs, rhs) pair mod p^k.  With ``fixed_power`` the statement is checked
+    mod p^power whatever --power says.  ``_replace`` gives a changed copy."""
 
-    id: str
-    power: int
-    kind: str
-    parity: str | None  # required parity of least_residue(a, p), or None
-    takes_param: bool
-    sides: Callable[..., tuple[int, int]]
-    fixed_power: bool = False  # checked mod p^power whatever --power says
+    __slots__ = ()
 
 
 #: The four classical parameters tied to weight-three modular forms.
 NAMED_RATIONALS = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
 
 
-@dataclass(slots=True)
 class ReportRecord:
-    """One verdict row: statement, prime, power, parameter, both sides (slotted; not hashable)."""
+    """One verdict row: statement, prime, power, parameter, both sides.
 
-    statement: str
-    p: int | None
-    k: int | None
-    a: Fraction | None
-    lhs: int | str | None
-    rhs: int | str | None
-    verdict: str
-    skip_reason: str | None = None
+    Slotted and cheap to build; records compare by value but are mutable and
+    not hashable.
+    """
+
+    __slots__ = ("statement", "p", "k", "a", "lhs", "rhs", "verdict", "skip_reason")
+
+    def __init__(
+        self,
+        statement: str,
+        p: int | None,
+        k: int | None,
+        a: Fraction | None,
+        lhs: int | str | None,
+        rhs: int | str | None,
+        verdict: str,
+        skip_reason: str | None = None,
+    ) -> None:
+        self.statement = statement
+        self.p = p
+        self.k = k
+        self.a = a
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict
+        self.skip_reason = skip_reason
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ReportRecord{self._key()!r}"
 
     def to_dict(self) -> dict:
         return {

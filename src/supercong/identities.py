@@ -12,7 +12,7 @@ sum: the 2F1 against the 3F2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -36,28 +36,21 @@ def harmonic(n: int) -> Fraction:
     return _harmonic_cache[n]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Both sides of one identity instance; equal iff the check passes."""
+class IdentityCheck(namedtuple("IdentityCheck", "identity n lhs rhs")):
+    """Both sides, Fractions, of one identity instance at n; equal iff the check passes."""
 
-    identity: str
-    n: int
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Result of sweeping one identity over a range of n."""
+class IdentityReport(namedtuple("IdentityReport", "identity n_min n_max first_failure", defaults=(None,))):
+    """Result of sweeping one identity over n_min..n_max: the first failing
+    IdentityCheck, or None."""
 
-    identity: str
-    n_min: int
-    n_max: int
-    first_failure: IdentityCheck | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

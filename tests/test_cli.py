@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -103,6 +102,9 @@ def test_scan_config_validation():
         ScanConfig(lo=5, hi=10, statements=["BOGUS"], run_identities=False)
     with pytest.raises(ConfigError):
         ScanConfig(lo=5, hi=10, statements=[], run_identities=False, fmt="xml")
+    for power in (0, 4, 5):  # argparse guards the flag; library callers reach ScanConfig directly
+        with pytest.raises(ConfigError, match="power must be 1, 2 or 3"):
+            ScanConfig(lo=5, hi=10, statements=["SUN_A2"], run_identities=False, power=power)
 
 
 def test_repeated_statement_ids_give_one_record_per_point():
@@ -321,7 +323,7 @@ def test_prime_task_ships_no_record_and_no_fraction():
 )
 def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_id, strict, code):
     # the pool forks after the patch, so every worker's checks see unequal sides
-    broken = dataclasses.replace(STATEMENTS[stmt_id], sides=lambda *args: (0, 1))
+    broken = STATEMENTS[stmt_id]._replace(sides=lambda *args: (0, 1))
     monkeypatch.setitem(STATEMENTS, stmt_id, broken)
     out = tmp_path / "report.jsonl"
     argv = ["--statements", stmt_id, "--primes", "5..13", "--jobs", "2", "--out", str(out)]
@@ -569,6 +571,31 @@ def test_cli_import_leaves_sympy_out():
     assert out.stdout.split() == ["supercong"]
 
 
+def test_cli_import_loads_only_what_a_scan_runs():
+    # -S: no site module, which may preload typing; the pool is imported on
+    # first read of cli.ProcessPoolExecutor, that is by --jobs N > 1 only
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """if True:
+        import json, sys
+        import supercong.cli as cli
+        names = ["dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures.process", "csv"]
+        loaded = [name for name in names if name in sys.modules]
+        import concurrent.futures
+        try:
+            cli.no_such_name
+            unknown = "no error"
+        except AttributeError as exc:
+            unknown = str(exc)
+        print(json.dumps([loaded, cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor, unknown]))
+    """
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded, same_pool, unknown = json.loads(out.stdout)
+    assert loaded == []
+    assert same_pool is True
+    assert unknown == "module 'supercong.cli' has no attribute 'no_such_name'"
+
+
 def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):
     # force a FAIL by corrupting one verdict before exit-code evaluation
     config = ScanConfig(lo=5, hi=5, statements=["THM1_A4"], run_identities=False)
@@ -611,3 +638,15 @@ def test_run_scan_unwritable_path(tmp_path):
     assert main(
         ["--primes", "5..5", "--statements", "SUN_A2", "--out", str(tmp_path / "nope" / "r.jsonl")]
     ) == EXIT_USAGE
+
+
+def test_unwritable_out_fails_before_the_scan(tmp_path, monkeypatch, capsys):
+    # the report is opened first: a bad path costs no scan, however long
+    def no_scan(config):
+        raise AssertionError("the scan ran before the report was opened")
+
+    monkeypatch.setattr(cli, "collect_records", no_scan)
+    out = tmp_path / "missing_dir" / "r.jsonl"
+    assert main(["--statements", "theorems", "--primes", "5..1999", "--out", str(out)]) == EXIT_USAGE
+    assert "missing_dir" in _usage_error_line(capsys)
+    assert not out.parent.exists()
