@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import identities
@@ -55,25 +56,17 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-class ScanConfig:
+class ScanConfig(
+    namedtuple("ScanConfig", "lo hi statements run_identities seed jobs out fmt strict n_max power file_params")
+):
     """One scan's settings, checked when it is built: a bad value raises
     ConfigError.  Configurations compare by value."""
 
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        statements: list[str],
-        run_identities: bool,
-        seed: int = 0,
-        jobs: int = 1,
-        out: str = "-",
-        fmt: str = "jsonl",
-        strict: bool = False,
-        n_max: int = 100,
-        power: int | None = None,
-        file_params: list[Fraction] | None = None,
-    ) -> None:
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int, statements: list[str], run_identities: bool, seed: int = 0, jobs: int = 1,
+                out: str = "-", fmt: str = "jsonl", strict: bool = False, n_max: int = 100,
+                power: int | None = None, file_params: list[Fraction] | None = None):
         if lo > hi:
             raise ConfigError(f"empty prime range {lo}..{hi}")
         if jobs < 1:
@@ -95,19 +88,16 @@ class ScanConfig:
             raise ConfigError(f"no primes >= 5 in {lo}..{hi}")
         if file_params == [] and any(STATEMENTS[s].takes_param for s in statements):
             raise ConfigError("the --params file holds no parameters")
-        self.lo, self.hi, self.statements, self.run_identities = lo, hi, statements, run_identities
-        self.seed, self.jobs, self.out, self.fmt, self.strict = seed, jobs, out, fmt, strict
-        self.n_max, self.power, self.file_params = n_max, power, file_params
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+        return super().__new__(
+            cls, lo, hi, statements, run_identities, seed, jobs, out, fmt, strict, n_max, power, file_params
+        )
 
 
 def parse_params(path: str) -> list[Fraction]:
     """Read one fraction per line (num/den or int); '#' comments and blank
     lines are ignored.  Malformed lines are reported with their number."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not a parameter
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

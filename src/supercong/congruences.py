@@ -311,6 +311,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Numerator/denominator bound of the sampled fractions.
 SAMPLE_BOUND = 20
+#: Seeded fractions in each prime's default parameter set.
+SAMPLE_COUNT = 20
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -363,10 +365,10 @@ def sample_fractions(
     return out
 
 
-def default_parameters(p: int, seed: int = 0, n_fractions: int = 20) -> list[Fraction]:
+def default_parameters(p: int, seed: int = 0) -> list[Fraction]:
     """Default per-prime parameter set: all integer residues 0..p-1, the four
-    named rationals, and ``n_fractions`` seeded fractions distinct from both."""
+    named rationals, and SAMPLE_COUNT seeded fractions distinct from both."""
     base = [Fraction(i) for i in range(p)]
     base.extend(NAMED_RATIONALS)
-    sampled = sample_fractions(p, n_fractions, seed, exclude=set(base))
+    sampled = sample_fractions(p, SAMPLE_COUNT, seed, exclude=set(base))
     return base + sampled

@@ -7,6 +7,7 @@ when p does not divide its denominator, i.e. when it is a p-adic integer.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -52,68 +53,39 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 5), hi + 1) if is_prime(n)]
 
 
-class _Frozen:
-    """An immutable slotted value: equal to, and hashed with, another of its
-    class by the fields named in ``_fields``."""
+class ModulusContext(namedtuple("ModulusContext", "p k modulus")):
+    """A prime p >= 5 together with an exponent k in {1, 2, 3}; modulus p^k,
+    derived and stored: the kernels read it on every call."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy through __init__, not through __setattr__
-        return self.__class__, self._key()
-
-
-class ModulusContext(_Frozen):
-    """A prime p >= 5 together with an exponent k in {1, 2, 3}; modulus p^k.
-
-    Equal and hashed by (p, k); ``modulus`` is derived from them.
-    """
-
-    __slots__ = ("p", "k", "modulus")
-    _fields = ("p", "k")
-
-    def __init__(self, p: int, k: int) -> None:
+    def __new__(cls, p: int, k: int):
         if k not in (1, 2, 3):
             raise ValueError(f"exponent k must be 1, 2 or 3, got {k}")
         if p < 5 or not is_prime(p):
             raise ValueError(f"p must be a prime >= 5, got {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "modulus", p**k)
+        return super().__new__(cls, p, k, p**k)
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle go back through __new__
+        return self.p, self.k
 
     def __repr__(self) -> str:
         return f"ModulusContext(p={self.p}, k={self.k})"
 
 
-class Residue(_Frozen):
+class Residue(namedtuple("Residue", "value ctx")):
     """Canonical representative in [0, modulus) of an element of Z/p^k.
 
     A value holder: the kernels and the Gamma evaluator return one, and
     callers read ``.value``.
     """
 
-    __slots__ = _fields = ("value", "ctx")
+    __slots__ = ()
 
-    def __init__(self, value: int, ctx: ModulusContext) -> None:
+    def __new__(cls, value: int, ctx: ModulusContext):
         if not 0 <= value < ctx.modulus:
             raise ValueError(f"value {value} out of range [0, {ctx.modulus})")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ctx", ctx)
+        return super().__new__(cls, value, ctx)
 
     def __repr__(self) -> str:
         return f"Residue({self.value} mod {self.ctx.modulus})"

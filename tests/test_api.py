@@ -1,10 +1,12 @@
 """The package's public names, written out so that adding or removing one is a
 deliberate change to this list (and to README's "Removed from the API")."""
 
+import ast
 import copy
 import pickle
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,7 @@ def test_frozen_value_types(make, make_other, field):
     # equal and hashed by their fields, immutable, and copied and pickled as values
     a, b, other = make(), make(), make_other()
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a == tuple(a)  # a namedtuple row equals the plain tuple of its fields
     assert a != other and {a, b, other} == {a, other}
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(other, field))
@@ -105,7 +108,24 @@ def test_scan_configs_compare_by_value_and_are_unhashable():
     def make(**kw):
         return ScanConfig(lo=5, hi=13, statements=["SUN_A2", "SUN_A2"], run_identities=False, **kw)
 
-    assert make() == make() and make() != make(seed=1)
+    assert make() == make() and make() != make(seed=1) and make() == tuple(make())
     assert make().statements == ["SUN_A2"]
     with pytest.raises(TypeError):
         hash(make())
+
+
+def test_readme_library_example():
+    # README's Library block runs as written, and each "# value" comment on an
+    # expression is the repr of its value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            checked.append((repr(value), lines[node.end_lineno - 1].split("#", 1)[1].strip()))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == [(value, value) for value in ("12", "Residue(18 mod 25)", "'PASS'", "12", "True")]

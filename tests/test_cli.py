@@ -52,6 +52,8 @@ def test_parse_params(tmp_path):
         Fraction(7, 2),
         Fraction(-1, 6),
     ]
+    path.write_bytes(b"\xef\xbb\xbf1/2\r\n3\r\n")  # a byte-order mark and CRLF, as Windows editors write
+    assert parse_params(str(path)) == [Fraction(1, 2), Fraction(3)]
 
 
 def test_parse_params_reports_line_numbers(tmp_path):
