@@ -44,7 +44,6 @@ from .congruences import (
     StatementChecker,
     check_statement,
     default_parameters,
-    rhs_conj,
     sample_fractions,
 )
 

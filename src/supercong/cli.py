@@ -404,8 +404,11 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return run_scan(config_from_args(args))
+        config = config_from_args(build_parser().parse_args(argv))
+        # Identity sides outgrow the 4,300-digit int str() limit of Python 3.10.7+ (B9 near n = 7,150).
+        # Lifted only after the --params parse, which keeps it as a guard on outside input.
+        getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
+        return run_scan(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

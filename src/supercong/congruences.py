@@ -14,7 +14,6 @@ from fractions import Fraction
 from .padic_core import (
     ModulusContext,
     RationalLike,
-    Residue,
     harmonic_mod,
     least_residue,
 )
@@ -104,36 +103,6 @@ def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
     return ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
 
 
-#: Per fixed conjecture: series parameter, Gamma arguments, the modulus and
-#: residue classes of p in its first case, the rational prefactor of p^2 in its
-#: second case, and the exponent e(p) of the sign (-1)^e of each case.
-_CONJ_DATA = {
-    "CONJ_S1": (Fraction(-1, 3), Fraction(1, 6), Fraction(1, 3), 6, (1,), Fraction(1, 18),
-                lambda p: (p + 1) // 2, lambda p: (p - 1) // 2),
-    "CONJ_S2": (Fraction(-1, 4), Fraction(1, 8), Fraction(3, 8), 8, (1, 3), Fraction(3, 64),
-                lambda p: (p + 1) // 2, lambda p: (p - 1) // 2),
-    "CONJ_S3": (Fraction(-1, 6), Fraction(1, 12), Fraction(5, 12), 4, (1,), Fraction(5, 144),
-                lambda p: 1, lambda p: 1),
-}
-
-
-def rhs_conj(stmt_id: str, ctx: ModulusContext, evaluator: GammaEvaluator | None = None) -> Residue:
-    """Case-split Gamma-product value of CONJ_S1/S2/S3 in Z/p^3.
-
-    In the first residue class the value is a signed product of squared Gamma
-    values; in the second it carries an explicit p^2 times a unit prefactor.
-    """
-    _, arg1, arg2, mod_base, first_classes, prefactor, sign_first, sign_second = _CONJ_DATA[stmt_id]
-    p, m = ctx.p, ctx.modulus
-    ev = evaluator or GammaEvaluator(ctx)
-    g = ev.gamma_p(arg1).value * ev.gamma_p(arg2).value % m
-    gg = g * g % m
-    if p % mod_base in first_classes:
-        return Residue(pow(-1, sign_first(p), m) * gg % m, ctx)
-    scale = p * p % m * pow(prefactor.denominator, -1, m) % m * prefactor.numerator % m
-    return Residue(pow(-1, sign_second(p), m) * scale % m * gg % m, ctx)
-
-
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
 # with least residue r that meets the hypothesis.  Series are cached per
 # kernel object and a, the Gamma side works on a's lifts mod p^k.  Each sides
@@ -149,7 +118,7 @@ def _thm1_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int
 
 
 def _thm2_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
-    # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S4, mod p^3
+    # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S1..S4, mod p^3
     m = chk.ctx(k).modulus
     g = _gamma_pair(chk.lift(a, k), chk.gamma(k))
     return chk.series(series_3f2_one, a, k), pow(-1, (chk.p + 1) // 2, m) * g % m * g % m
@@ -188,12 +157,17 @@ def _trace_c15_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tupl
     return out % p, 0
 
 
-def _conj_sides(stmt_id: str):
-    """Sides of CONJ_S1/S2/S3: the 3F2 at the fixed parameter against rhs_conj."""
+def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
+    """Sides of CONJ_S1/S2/S3: THM2_A5's at the fixed parameter a0, with the
+    right side times -c p^2 when p mod n is not in ``first``: there the sign
+    is the negative of THM2_A5's (-1)^((p+1)/2)."""
 
     def sides(chk: StatementChecker, a: None, r: None, k: int) -> tuple[int, int]:
-        lhs = chk.series(series_3f2_one, _CONJ_DATA[stmt_id][0], k)
-        return lhs, rhs_conj(stmt_id, chk.ctx(k), chk.gamma(k)).value
+        lhs, rhs = _thm2_sides(chk, a0, None, k)
+        if chk.p % n in first:
+            return lhs, rhs
+        m = chk.ctx(k).modulus
+        return lhs, -c.numerator * chk.p**2 * pow(c.denominator, -1, m) * rhs % m
 
     return sides
 
@@ -210,9 +184,9 @@ STATEMENTS: dict[str, Statement] = {
         Statement("TRACE_C9", 2, THEOREM, "even", True, _trace_c9_sides),
         # stated mod p only; harmonic and G1 data live there
         Statement("TRACE_C15", 1, THEOREM, "even", True, _trace_c15_sides, fixed_power=True),
-        Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides("CONJ_S1")),
-        Statement("CONJ_S2", 3, CONJECTURE, None, False, _conj_sides("CONJ_S2")),
-        Statement("CONJ_S3", 3, CONJECTURE, None, False, _conj_sides("CONJ_S3")),
+        Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 3), 6, (1,), Fraction(1, 18))),
+        Statement("CONJ_S2", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 4), 8, (1, 3), Fraction(3, 64))),
+        Statement("CONJ_S3", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 6), 4, (1,), Fraction(5, 144))),
         Statement("CONJ_S4", 3, CONJECTURE, "even", True, _thm2_sides),
     )
 }

@@ -111,9 +111,9 @@ def least_residue(a: RationalLike, p: int) -> int:
     return a.numerator * pow(a.denominator % p, -1, p) % p
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _harmonic_table(p: int) -> tuple[int, ...]:
-    # H_0..H_{p-1} mod p: running sums of the inverses of 1..p-1 mod p
+    # H_0..H_{p-1} mod p: running sums of the inverses of 1..p-1 mod p.  Scans go prime by prime.
     return tuple(accumulate(unit_inverse_table(p, 1), lambda h, inv: (h + inv) % p))
 
 
@@ -124,8 +124,8 @@ def harmonic_mod(n: int, p: int) -> int:
     return _harmonic_table(p)[n]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=3)
 def unit_inverse_table(p: int, k: int) -> tuple[int, ...]:
-    """Inverses of 1..p-1 mod p^k (index 0 unused); shared by series loops."""
+    """Inverses of 1..p-1 mod p^k (index 0 unused); shared by series loops, cached for one prime's k = 1..3."""
     m = p**k
     return (0,) + tuple(pow(j, -1, m) for j in range(1, p))

@@ -69,7 +69,7 @@ class GammaEvaluator:
         return Residue(self.gamma_at(reduce_rational(x, self.ctx).value), self.ctx)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def g1_of_one(p: int) -> int:
     """G1(1) mod p, where G1 = Gamma_p'/Gamma_p: minus the Wilson quotient.
 

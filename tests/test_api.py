@@ -34,7 +34,7 @@ PUBLIC_API = {
     "check_b18", "check_clausen_truncated", "check_gauss_half", "check_recurrences",
     # congruences
     "PASS", "FAIL", "SKIPPED", "NAMED_RATIONALS", "STATEMENTS", "ReportRecord", "StatementChecker",
-    "check_statement", "default_parameters", "rhs_conj", "sample_fractions",
+    "check_statement", "default_parameters", "sample_fractions",
 }
 
 

@@ -371,6 +371,18 @@ def test_identity_sweep_records(tmp_path):
     assert chk["lhs"] == "-1/2" and chk["rhs"] == "-1/2"
 
 
+def test_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path):
+    # Python >= 3.10.7 refuses str() of an int of more than 4,300 digits; B9's sides pass it near n = 7,150
+    big = Fraction(10**5000 + 1, 3)
+    monkeypatch.setitem(identities._CHECKERS, "B8", lambda n: identities.IdentityCheck("B8", n, big, big))
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # a fresh interpreter's limit, which earlier main() calls lifted
+    out = tmp_path / "identities.jsonl"
+    assert main(["--statements", "identities", "--n-max", "0", "--out", str(out)]) == EXIT_OK
+    b8 = [json.loads(line) for line in out.read_text().splitlines() if '"B8"' in line]
+    assert len(b8) == 1 and len(b8[0]["lhs"]) > 5000
+
+
 def test_usage_errors():
     assert main(["--primes", "nonsense"]) == EXIT_USAGE
     assert main(["--primes", "9..5"]) == EXIT_USAGE

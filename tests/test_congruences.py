@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from supercong import cli, congruences
+from supercong import cli, congruences, hyperseries, padic_gamma
 from supercong.padic_core import ModulusContext, least_residue, reduce_rational, sieve_primes
 from supercong.padic_gamma import g1
 from supercong.hyperseries import series_2f1_half
@@ -17,7 +17,6 @@ from supercong.congruences import (
     StatementChecker,
     check_statement,
     default_parameters,
-    rhs_conj,
     sample_fractions,
 )
 from test_padic_core import s_p
@@ -326,12 +325,10 @@ def test_conj_s4_parity_gate():
     assert rec.verdict == SKIPPED and rec.skip_reason == "parity"
 
 
-def test_rhs_conj_case_selection():
-    # first class uses no p^2 prefactor
-    ctx13 = ModulusContext(13, 3)
-    assert rhs_conj("CONJ_S1", ctx13).value % 13 != 0
-    ctx11 = ModulusContext(11, 3)
-    assert rhs_conj("CONJ_S1", ctx11).value % 121 == 0
+def test_conj_case_selection():
+    # the first class (p = 1 mod 6) has no p^2 prefactor, the second has
+    assert check_statement("CONJ_S1", 13).rhs % 13 != 0
+    assert check_statement("CONJ_S1", 11).rhs % 121 == 0
 
 
 def test_non_p_adic_parameter_is_skipped():
@@ -356,12 +353,16 @@ def test_lift_is_the_checkers_only_reduction(p):
     assert checker.check("THM1_A4", a).a is a
 
 
-def test_scan_reduces_parameters_only_through_the_lift(monkeypatch):
-    def refuse(a, p):
-        raise AssertionError(f"least_residue({a}, {p}) called")
+@pytest.mark.parametrize("power", [None, 1, 3])
+def test_scan_reduces_parameters_only_through_the_lift(monkeypatch, power):
+    def refuse(*args):
+        raise AssertionError(f"a rational reduced outside the lift: {args}")
 
     monkeypatch.setattr(congruences, "least_residue", refuse)
-    blocks = cli._scan_prime((13, tuple(STATEMENTS), None, 0, None, "jsonl"))
+    monkeypatch.setattr(padic_gamma, "reduce_rational", refuse)
+    monkeypatch.setattr(hyperseries, "reduce_rational", refuse)
+    monkeypatch.setattr(padic_gamma.GammaEvaluator, "gamma_p", refuse)
+    blocks = cli._scan_prime((13, tuple(STATEMENTS), None, 0, power, "jsonl"))
     assert [key for key, _, _ in blocks] == [(s, 13) for s in STATEMENTS]
 
 
