@@ -18,7 +18,6 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from . import identities
 from .congruences import (
     CONJECTURE,
     FAIL,
@@ -38,6 +37,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 #: The report's reader closed the pipe early; 128 + SIGPIPE, as a shell reports it.
 EXIT_PIPE = 141
+EXIT_INTERRUPT = 130  # Ctrl-C: 128 + SIGINT
 
 
 class ConfigError(Exception):
@@ -202,6 +202,8 @@ def _scan_prime(task: tuple) -> list[tuple]:
 
 def _identity_records(n_max: int, fmt: str) -> list[tuple]:
     """The report blocks of the identity sweep: one per identity, then RECURRENCES."""
+    from . import identities  # loaded only by a scan that runs the sweep
+
     blocks = []
     evens = range(0, n_max + 1, 2)
     for ident, ns in (
@@ -240,9 +242,13 @@ def collect_records(config: ScanConfig) -> list[tuple]:
             for p in reversed(primes)
         ]
         if config.jobs > 1 and len(tasks) > 1:
-            # under fork the pool starts every worker up front: no more than there are tasks
+            import signal
+
+            # Under fork the pool starts every worker up front: no more than there are tasks.  Workers ignore
+            # the Ctrl-C a terminal sends them too: a worker stopped mid-task can hang the pool's shutdown.
             pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-            with pool_class(max_workers=min(config.jobs, len(tasks))) as pool:
+            with pool_class(max_workers=min(config.jobs, len(tasks)), initializer=signal.signal,
+                            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 for batch in pool.map(_scan_prime, tasks):
                     blocks.extend(batch)
         else:
@@ -403,11 +409,13 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Identity sides outgrow the 4,300-digit int str() limit of Python 3.10.7+ (B9 near n = 7,150).
+    # Lifted only after the --params parse, which keeps it as a guard on outside input, and put back on return.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     try:
         config = config_from_args(build_parser().parse_args(argv))
-        # Identity sides outgrow the 4,300-digit int str() limit of Python 3.10.7+ (B9 near n = 7,150).
-        # Lifted only after the --params parse, which keeps it as a guard on outside input.
-        getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
+        set_digit_limit(0)
         return run_scan(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -419,6 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # a report named by --out keeps what was written, as after a shell redirection
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
+    finally:
+        set_digit_limit(digit_limit)
 
 
 if __name__ == "__main__":

@@ -192,12 +192,6 @@ STATEMENTS: dict[str, Statement] = {
 }
 
 
-def comparison_power(stmt_id: str, power: int | None = None) -> int:
-    """The k of the modulus p^k stmt_id is checked in; ``power`` overrides the catalog."""
-    st = STATEMENTS[stmt_id]
-    return st.power if power is None or st.fixed_power else power
-
-
 class StatementChecker:
     """Per-prime verdict engine owning the caches statement checks share.
 
@@ -250,7 +244,7 @@ class StatementChecker:
         exploratory runs only.
         """
         st = STATEMENTS[stmt_id]
-        k = comparison_power(stmt_id, power)
+        k = st.power if power is None or st.fixed_power else power
         p = self.p
         r = None
         if st.takes_param:

@@ -3,7 +3,10 @@ deliberate change to this list (and to README's "Removed from the API")."""
 
 import ast
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +48,31 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(getattr(supercong, name), types.ModuleType)
     }
     assert names == PUBLIC_API
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from supercong import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == PUBLIC_API
+
+
+def test_bare_import_loads_no_module_and_resolves_submodules():
+    # each module is imported on the first read of one of its names, a submodule included
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """if True:
+        import sys, supercong
+        print(*sorted(name for name in sys.modules if name.startswith("supercong")))
+        print(supercong.identities.check_b8(4).ok)
+    """
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "supercong\nTrue\n"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        supercong.no_such_name
+    assert str(info.value) == "module 'supercong' has no attribute 'no_such_name'"
 
 
 CTX = ModulusContext(5, 2)

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from supercong import cli, identities
 from supercong.cli import (
     ConfigError,
     EXIT_FAIL,
+    EXIT_INTERRUPT,
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
@@ -168,8 +171,9 @@ def test_pool_workers_bounded_by_prime_tasks(tmp_path, monkeypatch, jobs, worker
     sizes = []
 
     class InlinePool:  # records max_workers, runs the tasks in this process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            assert (initializer, initargs) == (signal.signal, (signal.SIGINT, signal.SIG_IGN))
 
         def __enter__(self):
             return self
@@ -383,6 +387,25 @@ def test_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path):
     assert len(b8) == 1 and len(b8[0]["lhs"]) > 5000
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str() digit limit before 3.10.7")
+def test_main_puts_the_str_digit_limit_back(tmp_path, capsys):
+    # main lifts the limit for the identity sides; left lifted, a second main in
+    # the same process took a --params value that a fresh process refuses
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # a fresh interpreter's limit
+    try:
+        argv = ["--statements", "SUN_A2", "--primes", "5..7", "--out", str(tmp_path / "r.jsonl")]
+        assert main(argv) == EXIT_OK
+        assert sys.get_int_max_str_digits() == 4300
+        params = tmp_path / "params.txt"
+        params.write_text("1" * 5000 + "\n")
+        capsys.readouterr()
+        assert main(argv + ["--params", str(params)]) == EXIT_USAGE
+        assert "bad parameter" in _usage_error_line(capsys)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_usage_errors():
     assert main(["--primes", "nonsense"]) == EXIT_USAGE
     assert main(["--primes", "9..5"]) == EXIT_USAGE
@@ -575,6 +598,29 @@ def test_reader_closing_the_pipe_early(tmp_path):
     assert err.read_bytes() == b""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_ends_a_scan_with_one_line(tmp_path, jobs):
+    # a terminal sends Ctrl-C to the whole process group, pool workers too
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "r.jsonl"
+    argv = [sys.executable, "-m", "supercong.cli", "--statements", "theorems", "--primes", "5..1999",
+            "--jobs", jobs, "--out", str(out)]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)  # --out is opened inside main's try, before the scan starts
+        time.sleep(0.5)  # the workers of --jobs 2 are mid-task by then
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (EXIT_INTERRUPT, b"error: interrupted\n")
+
+
 def test_cli_import_leaves_sympy_out():
     # sympy checks the series certificates in the tests; importing it costs
     # about 0.7 s, so the program itself must never load it
@@ -587,25 +633,33 @@ def test_cli_import_leaves_sympy_out():
 
 def test_cli_import_loads_only_what_a_scan_runs():
     # -S: no site module, which may preload typing; the pool is imported on
-    # first read of cli.ProcessPoolExecutor, that is by --jobs N > 1 only
+    # first read of cli.ProcessPoolExecutor, that is by --jobs N > 1 only, and
+    # identities by a scan that runs the identity sweep
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = """if True:
-        import json, sys
+        import json, os, sys
         import supercong.cli as cli
-        names = ["dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures.process", "csv"]
+        names = ["dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures.process", "csv",
+                 "supercong.identities"]
         loaded = [name for name in names if name in sys.modules]
+        cli.main(["--statements", "THM1_A4", "--primes", "5..7", "--out", os.devnull])
+        after_scan = "supercong.identities" in sys.modules
+        cli.main(["--statements", "identities", "--n-max", "2", "--out", os.devnull])
+        after_sweep = "supercong.identities" in sys.modules
         import concurrent.futures
         try:
             cli.no_such_name
             unknown = "no error"
         except AttributeError as exc:
             unknown = str(exc)
-        print(json.dumps([loaded, cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor, unknown]))
+        same_pool = cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        print(json.dumps([loaded, after_scan, after_sweep, same_pool, unknown]))
     """
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, same_pool, unknown = json.loads(out.stdout)
+    loaded, after_scan, after_sweep, same_pool, unknown = json.loads(out.stdout.splitlines()[-1])  # after summaries
     assert loaded == []
+    assert (after_scan, after_sweep) == (False, True)
     assert same_pool is True
     assert unknown == "module 'supercong.cli' has no attribute 'no_such_name'"
 
