@@ -3,9 +3,10 @@
 The report holds one record per (statement, prime, parameter), in that
 order, as JSON lines (canonical) or CSV.  Each (statement, prime) run of
 records is rendered to report text where it is computed, in a pool worker
-under --jobs N, and only these blocks are sorted and written.  Identical
-configuration, including the seed, produces byte-identical reports
-regardless of the worker count.
+under --jobs N.  Each block is written to a temporary spool file as it
+arrives; only an index of the blocks is sorted, and the report is copied
+out of the spool in that order.  Identical configuration, including the
+seed, produces byte-identical reports regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -232,9 +233,18 @@ def _identity_records(n_max: int, fmt: str) -> list[tuple]:
     return blocks
 
 
-def collect_records(config: ScanConfig) -> list[tuple]:
-    """The report's blocks in report order: by statement, then prime."""
-    blocks: list[tuple] = []
+def collect_records(config: ScanConfig, spool) -> list[tuple]:
+    """Write each block's text to the binary spool as it arrives; return the
+    index of the report in report order, by statement, then prime: each
+    block's key, its (offset, length) in the spool and its verdict counts."""
+    index: list[tuple] = []
+
+    def spool_blocks(blocks: list[tuple]) -> None:
+        for key, text, counts in blocks:
+            data = text.encode()
+            index.append((key, (spool.tell(), len(data)), counts))
+            spool.write(data)
+
     if config.statements:
         primes = sieve_primes(config.lo, config.hi)
         tasks = [  # largest, that is costliest, primes first
@@ -250,23 +260,25 @@ def collect_records(config: ScanConfig) -> list[tuple]:
             with pool_class(max_workers=min(config.jobs, len(tasks)), initializer=signal.signal,
                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 for batch in pool.map(_scan_prime, tasks):
-                    blocks.extend(batch)
+                    spool_blocks(batch)
         else:
             for task in tasks:
-                blocks.extend(_scan_prime(task))
+                spool_blocks(_scan_prime(task))
     if config.run_identities:
-        blocks.extend(_identity_records(config.n_max, config.fmt))
-    blocks.sort(key=lambda block: block[0])  # each (statement, p) key once
-    return blocks
+        spool_blocks(_identity_records(config.n_max, config.fmt))
+    index.sort(key=lambda block: block[0])  # each (statement, p) key once
+    return index
 
 
-def write_records(blocks: list[tuple], fmt: str, stream) -> None:
+def write_records(blocks: list[tuple], fmt: str, stream, spool) -> None:
+    """Copy the indexed blocks out of the spool to the text stream, in index order."""
     # Write block by block: with the whole report in one write, a reader that
     # closed the pipe early went unnoticed and the scan exited 0.
     if fmt == "csv":
         stream.write("statement,p,k,a_num,a_den,lhs,rhs,verdict,skip_reason\n")
-    for _, text, _ in blocks:
-        stream.write(text)
+    for _, (offset, length), _ in blocks:
+        spool.seek(offset)
+        stream.write(spool.read(length).decode())
 
 
 def summarize(blocks: list[tuple]) -> str:
@@ -296,25 +308,36 @@ def _exit_code(blocks: list[tuple], strict: bool) -> int:
 
 def run_scan(config: ScanConfig) -> int:
     """Execute the configured checks, write the report, print the summary."""
+    # The spool holds the report's text until the end, in TMPDIR: on Linux a
+    # file with no name, which no exit path can leave behind.
+    import tempfile
+
     if config.out == "-":
-        blocks = collect_records(config)
-        write_records(blocks, config.fmt, sys.stdout)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        with tempfile.TemporaryFile() as spool:
+            blocks = collect_records(config, spool)
+            write_records(blocks, config.fmt, sys.stdout, spool)
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         print(summarize(blocks), file=sys.stderr)
     else:
         # opened before the scan, as a shell redirection is: a path that
         # cannot be written fails at once, not after the whole scan
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            blocks = collect_records(config)
-            write_records(blocks, config.fmt, handle)
+        with open(config.out, "w", encoding="utf-8", newline="") as handle, tempfile.TemporaryFile() as spool:
+            blocks = collect_records(config, spool)
+            write_records(blocks, config.fmt, handle, spool)
         print(summarize(blocks))
         n_records = sum(sum(counts.values()) for _, _, counts in blocks)
         print(f"report: {config.out} ({n_records} records)")
     return _exit_code(blocks, config.strict)
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _env_default(name: str, fallback, choices: tuple[str, ...] | None = None):
+    """A default from SUPERCONG_<name>; argparse does not hold a default to the flag's choices."""
+    text = os.environ.get(ENV_PREFIX + name)
+    if text is None:
+        return fallback
+    if choices is not None and text not in choices:
+        raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not one of {', '.join(choices)}")
+    return text
 
 
 def _env_int(name: str, fallback: int | None, choices: tuple[int, ...] | None = None) -> int | None:
@@ -370,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=_env_default("OUT", "-"),
                         help="report path, '-' for stdout (default)")
     parser.add_argument("--format", dest="fmt", choices=("jsonl", "csv"),
-                        default=_env_default("FORMAT", "jsonl"))
+                        default=_env_default("FORMAT", "jsonl", ("jsonl", "csv")))
     parser.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
                         help="conjecture failures also flip the exit status")
     parser.add_argument("--n-max", type=int, default=_env_int("N_MAX", 100),

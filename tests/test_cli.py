@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +46,22 @@ from supercong.congruences import (
 from supercong.padic_core import sieve_primes
 
 COLUMNS = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
+
+
+def _texts(index: list[tuple], spool: io.BytesIO) -> list[str]:
+    """Each indexed block's text, read back from the spool."""
+    data = spool.getvalue()
+    return [data[offset : offset + length].decode() for _, (offset, length), _ in index]
+
+
+def _spooled(blocks: list[tuple]) -> tuple[list[tuple], io.BytesIO]:
+    """Rendered blocks as collect_records leaves them: an index and its spool."""
+    spool, index = io.BytesIO(), []
+    for key, text, counts in blocks:
+        data = text.encode()
+        index.append((key, (spool.tell(), len(data)), counts))
+        spool.write(data)
+    return index, spool
 
 
 def test_parse_params(tmp_path):
@@ -115,9 +133,10 @@ def test_scan_config_validation():
 def test_repeated_statement_ids_give_one_record_per_point():
     config = ScanConfig(lo=5, hi=5, statements=["SUN_A2", "SUN_A2"], run_identities=False)
     assert config.statements == ["SUN_A2"]
-    blocks = collect_records(config)
+    spool = io.BytesIO()
+    blocks = collect_records(config, spool)
     assert [key for key, _, _ in blocks] == [("SUN_A2", 5)]
-    rows = [json.loads(line) for _, text, _ in blocks for line in text.splitlines()]
+    rows = [json.loads(line) for text in _texts(blocks, spool) for line in text.splitlines()]
     assert len(rows) == len({(r["statement"], r["p"], r["a_num"], r["a_den"]) for r in rows}) == 29
 
 
@@ -230,8 +249,9 @@ def test_jsonl_lines_equal_json_dumps_of_each_record():
     ]
     assert {r.skip_reason for r in records if r.verdict == SKIPPED} == {"parity", "not a p-adic integer"}
     singles = [cli._render([r], "jsonl") for r in records]
+    index, spool = _spooled(singles)
     stream = io.StringIO()
-    write_records(singles, "jsonl", stream)
+    write_records(index, "jsonl", stream, spool)
     assert stream.getvalue() == "".join(json.dumps(r.to_dict()) + "\n" for r in records)
     assert [key for key, _, _ in singles[-3:]] == [("THM2_A5", 5), ("RECURRENCES", 0), ("B8", 0)]
     # one (statement, p) run: the line head is rendered once, verdicts and skip reasons per line
@@ -572,7 +592,7 @@ def test_env_overrides(monkeypatch):
     "name, value",
     [
         ("POWER", "5"), ("SEED", "x"), ("JOBS", "2.5"), ("N_MAX", "ten"),
-        ("STRICT", "maybe"),
+        ("STRICT", "maybe"), ("FORMAT", "xml"),
     ],
 )
 def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):
@@ -583,11 +603,35 @@ def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):
     assert err.startswith(f"error: SUPERCONG_{name}=") and err.count("\n") == 1
 
 
+def _cli_env(tmp_path):
+    """A CLI subprocess's environment: this checkout's source, and an empty
+    TMPDIR, where the scan keeps its spool of report text."""
+    spool_dir = tmp_path / "tmpdir"
+    spool_dir.mkdir()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=src, TMPDIR=str(spool_dir)), spool_dir
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [([], EXIT_OK), (["--jobs", "2"], EXIT_OK), (["--power", "3"], EXIT_FAIL), (["--out", "/dev/full"], EXIT_USAGE)],
+    ids=["ok", "jobs2", "fail", "out-full"],
+)
+def test_spool_is_removed_on_exit(tmp_path, extra, code):
+    # the broken pipe (141) and Ctrl-C (130) cases are in the two tests below
+    if "/dev/full" in extra and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env, spool_dir = _cli_env(tmp_path)
+    argv = [sys.executable, "-m", "supercong.cli", "--statements", "THM1_A4", "--primes", "5..13",
+            "--out", str(tmp_path / "r.jsonl")]
+    assert subprocess.run(argv + extra, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == code
+    assert list(spool_dir.iterdir()) == []
+
+
 def test_reader_closing_the_pipe_early(tmp_path):
     # about 400 kB of records: far more than a pipe holds, so the writer
     # is still writing when the reader goes away after the first line
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env, spool_dir = _cli_env(tmp_path)
     argv = [sys.executable, "-m", "supercong.cli", "--primes", "5..97", "--statements", "THM1_A4"]
     err = tmp_path / "stderr.txt"
     with open(err, "wb") as err_handle:
@@ -596,13 +640,13 @@ def test_reader_closing_the_pipe_early(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=120) == EXIT_PIPE
     assert err.read_bytes() == b""
+    assert list(spool_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_ctrl_c_ends_a_scan_with_one_line(tmp_path, jobs):
     # a terminal sends Ctrl-C to the whole process group, pool workers too
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env, spool_dir = _cli_env(tmp_path)
     out = tmp_path / "r.jsonl"
     argv = [sys.executable, "-m", "supercong.cli", "--statements", "theorems", "--primes", "5..1999",
             "--jobs", jobs, "--out", str(out)]
@@ -619,6 +663,7 @@ def test_ctrl_c_ends_a_scan_with_one_line(tmp_path, jobs):
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert (proc.returncode, err) == (EXIT_INTERRUPT, b"error: interrupted\n")
+    assert list(spool_dir.iterdir()) == []
 
 
 def test_cli_import_leaves_sympy_out():
@@ -667,7 +712,7 @@ def test_cli_import_loads_only_what_a_scan_runs():
 def test_exit_code_blocks_on_theorem_failures(tmp_path, monkeypatch):
     # force a FAIL by corrupting one verdict before exit-code evaluation
     config = ScanConfig(lo=5, hi=5, statements=["THM1_A4"], run_identities=False)
-    blocks = collect_records(config)
+    blocks = collect_records(config, io.BytesIO())
     bad = cli._render([ReportRecord("THM1_A4", 5, 2, Fraction(0), 1, 2, FAIL)], "jsonl")
     assert cli._exit_code(blocks + [bad], strict=False) == 1
     assert cli._exit_code(blocks, strict=False) == 0
@@ -687,13 +732,39 @@ def test_power_override_keeps_theorem_exit_status(tmp_path):
 
 def test_summary_counts():
     config = ScanConfig(lo=5, hi=7, statements=["SUN_A2"], run_identities=False)
-    blocks = collect_records(config)
+    spool = io.BytesIO()
+    blocks = collect_records(config, spool)
     assert [key for key, _, _ in blocks] == [("SUN_A2", 5), ("SUN_A2", 7)]
-    rows = [json.loads(line) for _, text, _ in blocks for line in text.splitlines()]
+    rows = [json.loads(line) for text in _texts(blocks, spool) for line in text.splitlines()]
     n = {v: sum(r["verdict"] == v for r in rows) for v in ("PASS", "FAIL", "SKIPPED")}
     assert n["PASS"] and n["SKIPPED"] and len(rows) == sum(n.values())
     row = f"{n['PASS']:>7} {n['FAIL']:>7} {n['SKIPPED']:>8}"
     assert summarize(blocks).splitlines()[1:] == [f"{'SUN_A2':<12} {row}", f"{'total':<12} {row}"]
+
+
+def test_scan_memory_is_one_prime_not_the_report(tmp_path):
+    # blocks go to the spool as they arrive: the scan holds one prime's text and an index
+    out = tmp_path / "r.jsonl"
+    argv = ["--statements", "theorems", "--primes", "5..97", "--out", str(out)]
+    assert main(argv) == EXIT_OK  # imports and caches first
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
+
+
+def test_stdout_report_into_a_text_stream(tmp_path):
+    # stdout need not have a binary buffer: the report is written as text
+    argv = ["--statements", "all", "--primes", "5..31", "--n-max", "10"]
+    out = tmp_path / "r.jsonl"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert main(argv) == EXIT_OK
+    assert stream.getvalue().encode() == out.read_bytes()
 
 
 def test_run_scan_unwritable_path(tmp_path):
@@ -710,7 +781,7 @@ def test_run_scan_unwritable_path(tmp_path):
 
 def test_unwritable_out_fails_before_the_scan(tmp_path, monkeypatch, capsys):
     # the report is opened first: a bad path costs no scan, however long
-    def no_scan(config):
+    def no_scan(config, spool):
         raise AssertionError("the scan ran before the report was opened")
 
     monkeypatch.setattr(cli, "collect_records", no_scan)
