@@ -202,30 +202,34 @@ def _scan_prime(task: tuple) -> list[tuple]:
 
 
 def _identity_records(n_max: int, fmt: str) -> list[tuple]:
-    """The report blocks of the identity sweep: one per identity, then RECURRENCES."""
+    """The report blocks of the identity sweep: one per identity, then RECURRENCES.
+
+    RECURRENCES runs first: its sums at every even n <= 2 n_max make the parts
+    of every sum the identities read, which the sweep shares."""
     from . import identities  # loaded only by a scan that runs the sweep
 
     blocks = []
     evens = range(0, n_max + 1, 2)
-    for ident, ns in (
-        ("B8", evens),
-        ("B9", evens),
-        ("B17", evens),
-        ("B18", evens),
-        ("GAUSS_HALF", evens),
-        ("CLAUSEN", range(n_max + 1)),
-    ):
-        run = []
-        for n in ns:
-            chk = identities._CHECKERS[ident](n)
-            run.append(
-                ReportRecord(
-                    ident, None, None, Fraction(n), str(chk.lhs), str(chk.rhs),
-                    PASS if chk.ok else FAIL,
+    with identities.sweep(n_max):
+        rec_report = identities.check_recurrences(n_max)
+        for ident, ns in (
+            ("B8", evens),
+            ("B9", evens),
+            ("B17", evens),
+            ("B18", evens),
+            ("GAUSS_HALF", evens),
+            ("CLAUSEN", range(n_max + 1)),
+        ):
+            run = []
+            for n in ns:
+                chk = identities._CHECKERS[ident](n)
+                run.append(
+                    ReportRecord(
+                        ident, None, None, Fraction(n), str(chk.lhs), str(chk.rhs),
+                        PASS if chk.ok else FAIL,
+                    )
                 )
-            )
-        blocks.append(_render(run, fmt))
-    rec_report = identities.check_recurrences(n_max)
+            blocks.append(_render(run, fmt))
     failure = rec_report.first_failure
     lhs = "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}"
     record = ReportRecord("RECURRENCES", None, None, Fraction(n_max), lhs, "0", PASS if rec_report.passed else FAIL)

@@ -5,6 +5,9 @@ on exact equality.  Every left-hand side, the terminating 2F1 and 3F2 of
 GAUSS_HALF and CLAUSEN included, is one binomial sum of integer terms over
 2^(e n); the harmonic weights are added as a pairwise sum of the fractions
 T_j/(n+j) over the tails T_j, and each sum is turned into a Fraction once.
+Inside sweep(), the parts of each sum at (n, e) are made once.  Since
+a_n(n) = 2 B17(2n) - (H_2n - H_n) B8(2n) and b_n(n) = 2 B18(2n) - (3 H_2n - 2 H_n) B9(2n)
+for the left sides B8..B18, RECURRENCES makes the parts that the even-n checks read.
 Each right-hand side is an independent closed form from math.comb and the
 cached harmonic numbers, except CLAUSEN's, which is the square of the other
 sum: the 2F1 against the 3F2.
@@ -13,7 +16,9 @@ sum: the 2F1 against the 3F2.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -64,10 +69,76 @@ def _require_even(n: int) -> None:
         raise OddInput(f"identity requires even n, got {n}")
 
 
+#: While a sweep() is open, its n_max and the parts of each sum by (n, e); None outside one.
+_shared: tuple[int, dict] | None = None
+
+
+@contextmanager
+def sweep(n_max: int):
+    """Within the block, the parts of each sum at n <= n_max are made once and
+    shared, so a_n, b_n and the checkers at one n read one set of terms.
+
+    Outside it every call computes afresh.  Only parts are shared, never a
+    weighted result: each call still applies its own weight and harmonic numbers.
+    """
+    global _shared
+    previous, _shared = _shared, (n_max, {})
+    try:
+        yield
+    finally:
+        _shared = previous
+
+
+@lru_cache(maxsize=1)  # a_n and b_n at one n run back to back
+def _denominator_levels(n: int) -> tuple[tuple[int, ...], ...]:
+    """The product tree over n+j, j = n..1: level 0 is (2n, ..., n+1), each
+    next level the pairwise products, an odd one left over carried up."""
+    levels = [tuple(range(2 * n, n, -1))]
+    while len(levels[-1]) > 1:
+        dens = levels[-1]
+        levels.append(tuple([q1 * q2 for q1, q2 in zip(dens[::2], dens[1::2])]) + dens[len(dens) & ~1 :])
+    return tuple(levels)
+
+
+def _parts(n: int, e: int, weighted: bool) -> tuple:
+    """(T_0, pair) for the sum at (n, e): T_0 = sum_k t_k, and when weighted
+    the unreduced pair (num, den) = sum_{j=1..n} T_j / (n+j), else None."""
+    n_max, shared = _shared or (-1, {})
+    parts = shared.get((n, e))
+    if parts is not None and (parts[1] is not None or not weighted):
+        return parts
+    # term k+1 over term k is -(2(2k+1))^(e-1) (n+k+1)(n-k) / (2^e (k+1)^(e+1)), exact; the sign and
+    # the small factors go first, so the big term takes one product and one exact division
+    term = 1 << e * n
+    terms = [term]
+    if e == 1:
+        for k in range(n):
+            term = term * ((n + k + 1) * (k - n)) // (2 * (k + 1) ** 2)
+            terms.append(term)
+    else:
+        for k in range(n):
+            term = term * ((2 * k + 1) * (n + k + 1) * (k - n)) // (2 * (k + 1) ** 3)
+            terms.append(term)
+    if not weighted:
+        parts = (sum(terms), None)
+    else:
+        nums = list(accumulate(reversed(terms)))  # T_n, ..., T_1, T_0
+        del terms
+        total = nums.pop()
+        levels = _denominator_levels(n)
+        for dens in levels[:-1]:  # add the fractions pairwise, level by level (binary splitting)
+            merged = [p1 * q2 + p2 * q1 for p1, p2, q1, q2 in zip(nums[::2], nums[1::2], dens[::2], dens[1::2])]
+            nums = merged + nums[len(nums) & ~1 :]
+        parts = (total, (nums[0], levels[-1][0]) if nums else (0, 1))
+    if n <= n_max:
+        shared[n, e] = parts
+    return parts
+
+
 def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) -> Fraction:
-    """sum_{k=0..n} C(2k,k)^e C(n+k,2k) (-1/2^e)^k w_k, where w_k = 1 for any
-    n >= 0, or w_k = c0 H_{n+k} + c1 H_n + c2 H_{n/2} for weight = (c0, c1, c2)
-    and even n.
+    """sum_{k=0..n} C(2k,k)^e C(n+k,2k) (-1/2^e)^k w_k, for e = 1 or 2, where
+    w_k = 1 for any n >= 0, or w_k = c0 H_{n+k} + c1 H_n + c2 H_{n/2} for
+    weight = (c0, c1, c2) and even n.
 
     Unweighted, e = 1 gives the terminating 2F1(-n, n+1; 1; 1/2) and e = 2 the
     terminating 3F2(1/2, -n, n+1; 1, 1; 1), odd n included: term by term,
@@ -79,23 +150,11 @@ def _binomial_sum(n: int, e: int, weight: tuple[int, int, int] | None = None) ->
     level by level (binary splitting), so most products are big times small.
     The rest of the weight, (c0 + c1) H_n + c2 H_{n/2}, multiplies the plain sum T_0.
     """
-    terms, term = [], 1 << e * n
-    for k in range(n + 1):
-        terms.append(term)
-        # term k+1 over term k: -(2(2k+1))^(e-1) (n+k+1)(n-k) / (2^e (k+1)^(e+1)), exact;
-        # the small factors go first, so the big term takes one product and one division
-        term = -term * ((4 * k + 2) ** (e - 1) * (n + k + 1) * (n - k)) // ((k + 1) ** (e + 1) << e)
+    total, pair = _parts(n, e, weight is not None)
     if weight is None:
-        return Fraction(sum(terms), 1 << e * n)
+        return Fraction(total, 1 << e * n)
     c_run, c_n, c_half = weight
-    tails = list(accumulate(reversed(terms)))  # tails[i] = T_{n-i}
-    del terms
-    total = tails.pop()  # T_0
-    level = [(t, 2 * n - i) for i, t in enumerate(tails)]  # (T_j, n+j), j = n..1
-    while len(level) > 1:
-        odd = level[-1:] if len(level) % 2 else []
-        level = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(level[::2], level[1::2])] + odd
-    num, den = level[0] if level else (0, 1)
+    num, den = pair
     h = (c_run + c_n) * harmonic(n) + c_half * harmonic(n // 2)
     return Fraction(c_run * num * h.denominator + h.numerator * total * den, den * h.denominator << e * n)
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import hashlib
@@ -393,6 +394,26 @@ def test_identity_sweep_records(tmp_path):
     assert all(r["p"] is None and r["k"] is None for r in records)
     chk = next(r for r in records if r["statement"] == "B8" and r["a_num"] == 2)
     assert chk["lhs"] == "-1/2" and chk["rhs"] == "-1/2"
+
+
+def test_identity_sweep_calls_each_checker_once_per_record(monkeypatch):
+    # the benchmark's hook counts identity checks by wrapping _CHECKERS' entries and check_recurrences
+    calls = collections.Counter()
+
+    def counting(name, check):
+        def wrapper(n):
+            calls[name] += 1
+            return check(n)
+
+        return wrapper
+
+    for ident, check in list(identities._CHECKERS.items()):
+        monkeypatch.setitem(identities._CHECKERS, ident, counting(ident, check))
+    monkeypatch.setattr(identities, "check_recurrences", counting("RECURRENCES", identities.check_recurrences))
+    blocks = cli._identity_records(10, "jsonl")
+    records = collections.Counter(json.loads(line)["statement"] for _, text, _ in blocks for line in text.splitlines())
+    assert calls == records
+    assert records["RECURRENCES"] == 1 and sum(records.values()) == 42
 
 
 def test_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path):

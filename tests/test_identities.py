@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supercong import identities
+from supercong import cli, identities
 from supercong.identities import (
     OddInput,
     _binomial_sum,
@@ -120,6 +121,58 @@ def test_harmonic_sum_kernel_off_the_vanishing_weights(e, weight):
             value = _binomial_sum(n, e, perturbed)
             assert value == binomial_sum_oracle(n, e, perturbed)
             assert (value != 0) == (n > 0)  # at n = 0 every weight is 0
+
+
+#: (e, weight) of each identity's left side, as binomial_sum_oracle takes them
+LEFT_SIDES = {
+    "B8": (1, None), "GAUSS_HALF": (1, None), "B9": (2, None), "CLAUSEN": (2, None),
+    "B17": (1, (1, -1, 0)), "B18": (2, (1, -1, 0)),
+}
+
+
+def _sweep_records(n_max):
+    return [json.loads(line) for _, text, _ in cli._identity_records(n_max, "jsonl") for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 9, 40])
+def test_sweep_records_equal_direct_checks_and_the_oracle(n_max):
+    # A sweep makes the parts of each (n, e) sum once, in RECURRENCES, and its
+    # checks read them; each record must be what a call outside any sweep
+    # returns, which computes afresh, and each left side the Fraction loop's.
+    records = _sweep_records(n_max)
+    assert identities._shared is None
+    rows = [r for r in records if r["statement"] != "RECURRENCES"]
+    assert len(rows) == 5 * (n_max // 2 + 1) + n_max + 1
+    for r in rows:
+        chk = identities._CHECKERS[r["statement"]](r["a_num"])
+        assert (r["lhs"], r["rhs"], r["verdict"]) == (str(chk.lhs), str(chk.rhs), "PASS")
+        assert chk.lhs == binomial_sum_oracle(r["a_num"], *LEFT_SIDES[r["statement"]])
+    assert [(r["lhs"], r["verdict"]) for r in records if r["statement"] == "RECURRENCES"] == [("0", "PASS")]
+
+
+def test_sharing_ends_with_the_sweep(monkeypatch):
+    # A fault injected after a sweep, finished or stopped by Ctrl-C, must show
+    # at once: no part the sweep made may serve a later call.
+    real = identities.accumulate
+
+    def corrupt(iterable):  # T_n off by one, as in the CLI's faulty-tail test
+        tails = list(real(iterable))
+        tails[0] += 1
+        return tails
+
+    def interrupt(n):
+        raise KeyboardInterrupt
+
+    _sweep_records(12)
+    monkeypatch.setattr(identities, "accumulate", corrupt)
+    assert not check_b17(4).ok
+    monkeypatch.setattr(identities, "accumulate", real)
+    monkeypatch.setitem(identities._CHECKERS, "B9", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _sweep_records(12)
+    assert identities._shared is None
+    monkeypatch.setattr(identities, "accumulate", corrupt)
+    assert not check_b17(4).ok
 
 
 def test_recurrences_fail_at_the_first_n_reading_a_wrong_harmonic_number(monkeypatch):
