@@ -204,8 +204,8 @@ def _scan_prime(task: tuple) -> list[tuple]:
 def _identity_records(n_max: int, fmt: str) -> list[tuple]:
     """The report blocks of the identity sweep: one per identity, then RECURRENCES.
 
-    RECURRENCES runs first: its sums at every even n <= 2 n_max make the parts
-    of every sum the identities read, which the sweep shares."""
+    RECURRENCES runs first: its direct sums at every even n <= n_max make the
+    parts of every sum the identities read, which the sweep shares."""
     from . import identities  # loaded only by a scan that runs the sweep
 
     blocks = []

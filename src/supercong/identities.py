@@ -7,7 +7,10 @@ GAUSS_HALF and CLAUSEN included, is one binomial sum of integer terms over
 T_j/(n+j) over the tails T_j, and each sum is turned into a Fraction once.
 Inside sweep(), the parts of each sum at (n, e) are made once.  Since
 a_n(n) = 2 B17(2n) - (H_2n - H_n) B8(2n) and b_n(n) = 2 B18(2n) - (3 H_2n - 2 H_n) B9(2n)
-for the left sides B8..B18, RECURRENCES makes the parts that the even-n checks read.
+for the left sides B8..B18, RECURRENCES' direct sums at 2n <= n_max make the
+parts that the even-n checks read.  That a_n and b_n vanish for every n is a
+creative-telescoping certificate, stored as integer tables and checked at run
+time (telescoping), so the sweep sums nothing beyond n_max.
 Each right-hand side is an independent closed form from math.comb and the
 cached harmonic numbers, except CLAUSEN's, which is the square of the other
 sum: the 2F1 against the 3F2.
@@ -23,6 +26,7 @@ from itertools import accumulate
 from math import comb
 
 from .padic_core import PadicError
+from .telescoping import first_residual  # a module apart: compiled with this one, it raised a sweep's peak RSS
 
 
 class OddInput(PadicError):
@@ -189,35 +193,52 @@ def check_b18(n: int) -> IdentityCheck:
     return IdentityCheck("B18", n, _binomial_sum(n, 2, (1, -1, 0)), rhs)
 
 
+#: The harmonic weights (c_run, c_n, c_half) of a_n (e = 1) and b_n (e = 2), as _binomial_sum takes them
+_VANISHING = {1: (2, -3, 1), 2: (2, -5, 2)}
+
+
 def a_n(n: int) -> Fraction:
     """sum_{k=0..2n} C(2k,k) C(2n+k,2k) (-1/2)^k (2 H_{2n+k} - 3 H_{2n} + H_n).
 
-    Vanishes for every n >= 0; certified on a range through check_recurrences.
+    Vanishes for every n >= 0: check_recurrences checks the proof.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _binomial_sum(2 * n, 1, (2, -3, 1))
+    return _binomial_sum(2 * n, 1, _VANISHING[1])
 
 
 def b_n(n: int) -> Fraction:
-    """sum_{k=0..2n} C(2k,k)^2 C(2n+k,2k) (-1/4)^k (2 H_{2n+k} - 5 H_{2n} + 2 H_n)."""
+    """sum_{k=0..2n} C(2k,k)^2 C(2n+k,2k) (-1/4)^k (2 H_{2n+k} - 5 H_{2n} + 2 H_n).
+
+    Vanishes for every n >= 0: check_recurrences checks the proof.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _binomial_sum(2 * n, 2, (2, -5, 2))
+    return _binomial_sum(2 * n, 2, _VANISHING[2])
 
 
 def check_recurrences(n_max: int) -> IdentityReport:
-    """Certify that a_n and b_n vanish for every n in [0, n_max].
+    """Certify that a_n and b_n vanish for every n: directly for 2n <= n_max, then by proof.
 
-    The first nonzero value is the failure: A_VANISH or B_VANISH at its n.
+    The direct sums at n <= n_max // 2 come first; the first nonzero value is
+    the failure, A_VANISH or B_VANISH at its n.  Inside sweep(n_max) they make
+    the parts that the even-n identities read.  Then the creative-telescoping
+    proof for every n (see telescoping), with its initial values u_0 = 1,
+    u_1 = 0 and w_0 = 0 from the direct sums; a step that fails is A_PROOF or
+    B_PROOF at its m, with the nonzero residual.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     zero = Fraction(0)
-    for n in range(n_max + 1):
+    for n in range(n_max // 2 + 1):
         for name, value in (("A_VANISH", a_n(n)), ("B_VANISH", b_n(n))):
             if value != 0:
                 return IdentityReport("RECURRENCES", 0, n_max, IdentityCheck(name, n, value, zero))
+    for e, name in ((1, "A_PROOF"), (2, "B_PROOF")):
+        initial = ((0, _binomial_sum(0, e) - 1), (1, _binomial_sum(1, e)), (0, _binomial_sum(0, e, (1, -1, 0))))
+        failure = first_residual(e, _VANISHING[e]) or next(((m, v) for m, v in initial if v), None)
+        if failure is not None:
+            return IdentityReport("RECURRENCES", 0, n_max, IdentityCheck(name, failure[0], Fraction(failure[1]), zero))
     return IdentityReport("RECURRENCES", 0, n_max)
 
 
