@@ -13,7 +13,7 @@ from importlib import import_module as _import_module
 _NAMES = {
     "padic_core": "IndexOutOfRange ModulusContext NotPAdicInteger PadicError Residue harmonic_mod is_prime "
     "least_residue reduce_rational sieve_primes",
-    "padic_gamma": "GammaEvaluator g1 g1_of_one",
+    "padic_gamma": "GammaEvaluator g1",
     "hyperseries": "series_2f1_half series_3f2_one",
     "identities": "IdentityCheck IdentityReport OddInput a_n b_n check_b8 check_b9 check_b17 check_b18 "
     "check_clausen_truncated check_gauss_half check_recurrences",

@@ -11,13 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .padic_core import (
-    ModulusContext,
-    RationalLike,
-    harmonic_mod,
-    least_residue,
-)
-from .padic_gamma import GammaEvaluator, g1_at
+from .padic_core import ModulusContext, RationalLike, harmonic_mod
+from .padic_gamma import GammaEvaluator
 from .hyperseries import series_2f1_half, series_3f2_one
 
 PASS = "PASS"
@@ -33,9 +28,10 @@ class Statement(
 ):
     """Catalog entry: modulus power, statement class (THEOREM or CONJECTURE),
     the required parity "even" or "odd" of least_residue(a, p) or None,
-    whether it takes a parameter a, and ``sides(checker, a, r, k)``, the
-    (lhs, rhs) pair mod p^k.  With ``fixed_power`` the statement is checked
-    mod p^power whatever --power says.  ``_replace`` gives a changed copy."""
+    whether it takes a parameter a, and ``sides(checker, a, x, k)``, the
+    (lhs, rhs) pair mod p^k from a and its lift x = a mod p^k (None without a
+    parameter).  With ``fixed_power`` the statement is checked mod p^power
+    whatever --power says.  ``_replace`` gives a changed copy."""
 
     __slots__ = ()
 
@@ -104,40 +100,42 @@ def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
 
 
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
-# with least residue r that meets the hypothesis.  Series are cached per
-# kernel object and a, the Gamma side works on a's lifts mod p^k.  Each sides
+# whose lift x mod p^k meets the hypothesis.  Series are cached per kernel
+# object and a, the Gamma side works on x, and r = x mod p.  Each sides
 # function looks the kernels up as module globals when it runs, so that a
 # kernel patched by name (tracing, tests) is the one every statement reads.
 
 
-def _thm1_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+def _thm1_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
-    ev, m = chk.gamma(k), chk.ctx(k).modulus
+    ev, m = chk.gamma(k), chk.p**k
     free_of_a = pow(-1, (chk.p + 1) // 2, m) * ev.gamma_at((m + 1) // 2) % m
-    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(chk.lift(a, k), ev) % m
+    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(x, ev) % m
 
 
-def _thm2_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+def _thm2_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S1..S4, mod p^3
-    m = chk.ctx(k).modulus
-    g = _gamma_pair(chk.lift(a, k), chk.gamma(k))
+    ev, m = chk.gamma(k), chk.p**k
+    g = _gamma_pair(x, ev)
     return chk.series(series_3f2_one, a, k), pow(-1, (chk.p + 1) // 2, m) * g % m * g % m
 
 
-def _thm3_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+def _thm3_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     sq = chk.series(series_2f1_half, a, k)
-    return chk.series(series_3f2_one, a, k), sq * sq % chk.ctx(k).modulus
+    return chk.series(series_3f2_one, a, k), sq * sq % chk.p**k
 
 
-def _lemma_b5_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
-    # First-order perturbation of Gamma_p one step of size p away from a.
-    p, m, ev, x = chk.p, chk.ctx(k).modulus, chk.gamma(k), chk.lift(a, k)
-    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_at(r, p) * p) % m
+def _lemma_b5_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+    # First-order perturbation of Gamma_p one step of size p away from a.  G1 mod p
+    # needs (p-1)! mod p^2; at k = 1 its term vanishes mod p.
+    p, ev, m = chk.p, chk.gamma(k), chk.p**k
+    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + chk.gamma(2).g1(x % p) * p) % m
 
 
-def _trace_c9_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
+def _trace_c9_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # The 2F1 against its closed form with first-order p-correction.
-    p, m, ev = chk.p, chk.ctx(k).modulus, chk.gamma(k)
+    p, ev, m = chk.p, chk.gamma(k), chk.p**k
+    r = x % p
     d = (chk.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
     hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
     w = d * hdiff * ((p + 1) // 2) % p
@@ -147,13 +145,14 @@ def _trace_c9_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple
     return chk.series(series_2f1_half, a, k), rhs * (1 + w * p) % m
 
 
-def _trace_c15_sides(chk: StatementChecker, a: Fraction, r: int, k: int) -> tuple[int, int]:
-    # Harmonic/log-derivative cancellation mod p; the G1(1) terms cancel.
-    # The least residues of -a/2 and (a+1)/2 mod p come from r alone.
-    p = chk.p
+def _trace_c15_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+    # Harmonic/log-derivative cancellation mod p: G1(y) = G1(1) + H_{s_p(y)-1}, so the G1(1)
+    # terms cancel.  The least residues s1 of -a/2 and s2 of (a+1)/2 mod p come from r alone.
+    p, r = chk.p, x % chk.p
     half = (p + 1) // 2  # 2^-1 mod p
+    s1, s2 = -r * half % p, (r + 1) * half % p
     out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-    out += g1_at(-r * half % p, p) - g1_at((r + 1) * half % p, p)
+    out += harmonic_mod((s1 - 1) % p, p) - harmonic_mod((s2 - 1) % p, p)
     return out % p, 0
 
 
@@ -162,11 +161,11 @@ def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
     right side times -c p^2 when p mod n is not in ``first``: there the sign
     is the negative of THM2_A5's (-1)^((p+1)/2)."""
 
-    def sides(chk: StatementChecker, a: None, r: None, k: int) -> tuple[int, int]:
-        lhs, rhs = _thm2_sides(chk, a0, None, k)
+    def sides(chk: StatementChecker, a: None, x: None, k: int) -> tuple[int, int]:
+        lhs, rhs = _thm2_sides(chk, a0, chk.lift(a0, k), k)
         if chk.p % n in first:
             return lhs, rhs
-        m = chk.ctx(k).modulus
+        m = chk.p**k
         return lhs, -c.numerator * chk.p**2 * pow(c.denominator, -1, m) * rhs % m
 
     return sides
@@ -175,8 +174,8 @@ def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in (
-        Statement("SUN_A2", 2, THEOREM, "odd", True, lambda chk, a, r, k: (chk.series(series_3f2_one, a, k), 0)),
-        Statement("SUN_A3", 2, THEOREM, "odd", True, lambda chk, a, r, k: (chk.series(series_2f1_half, a, k), 0)),
+        Statement("SUN_A2", 2, THEOREM, "odd", True, lambda chk, a, x, k: (chk.series(series_3f2_one, a, k), 0)),
+        Statement("SUN_A3", 2, THEOREM, "odd", True, lambda chk, a, x, k: (chk.series(series_2f1_half, a, k), 0)),
         Statement("THM1_A4", 2, THEOREM, "even", True, _thm1_sides),
         Statement("THM2_A5", 2, THEOREM, "even", True, _thm2_sides),
         Statement("THM3_A6", 2, THEOREM, None, True, _thm3_sides),
@@ -209,9 +208,6 @@ class StatementChecker:
         self._lifts: dict[tuple[int, int, int], int | None] = {}
         self._series: dict[tuple, int] = {}
 
-    def ctx(self, k: int) -> ModulusContext:
-        return self.gamma(k).ctx
-
     def gamma(self, k: int) -> GammaEvaluator:
         if k not in self._gamma:
             self._gamma[k] = GammaEvaluator(ModulusContext(self.p, k))
@@ -229,11 +225,11 @@ class StatementChecker:
             return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:
-        """kernel(a, ctx(k), lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
+        """kernel(a, context mod p^k, lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
         key = (kernel, k, a.numerator, a.denominator)  # not the lift: -1/6 and 4 agree mod 25
         value = self._series.get(key)
         if value is None:
-            value = self._series[key] = kernel(a, self.ctx(k), self.lift(a, k)).value
+            value = self._series[key] = kernel(a, self.gamma(k).ctx, self.lift(a, k)).value
         return value
 
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:
@@ -246,7 +242,7 @@ class StatementChecker:
         st = STATEMENTS[stmt_id]
         k = st.power if power is None or st.fixed_power else power
         p = self.p
-        r = None
+        x = None
         if st.takes_param:
             if a is None:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
@@ -255,12 +251,11 @@ class StatementChecker:
             x = self.lift(a, k)
             if x is None:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
-            r = x % p
-            if st.parity is not None and (r % 2 == 0) != (st.parity == "even"):
+            if st.parity is not None and (x % p % 2 == 0) != (st.parity == "even"):
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
         elif a is not None:
             raise ValueError(f"statement {stmt_id} takes no parameter")
-        lhs, rhs = st.sides(self, a, r, k)
+        lhs, rhs = st.sides(self, a, x, k)
         verdict = PASS if lhs == rhs else FAIL
         return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
 
@@ -296,7 +291,6 @@ def sample_fractions(
     p: int,
     count: int,
     seed: int = 0,
-    parity: str | None = None,
     exclude: frozenset[Fraction] | set[Fraction] = frozenset(),
 ) -> list[Fraction]:
     """Deterministic sample of ``count`` distinct reduced fractions m/n with
@@ -304,8 +298,7 @@ def sample_fractions(
 
     The stream is splitmix64 seeded with seed XOR (p * golden ratio); each
     draw takes m from [-20, 20] and n from [1, 20], rejecting denominators
-    divisible by p, repeats, excluded values, and (when ``parity`` is given)
-    fractions whose least residue has the wrong parity.
+    divisible by p, repeats and excluded values.
     """
     state = (seed & _MASK64) ^ (p * _GOLDEN & _MASK64)
     seen: set[Fraction] = set(exclude)
@@ -324,10 +317,6 @@ def sample_fractions(
         f = Fraction(num, den)
         if f in seen:
             continue
-        if parity is not None:
-            even = least_residue(f, p) % 2 == 0
-            if even != (parity == "even"):
-                continue
         seen.add(f)
         out.append(f)
     return out

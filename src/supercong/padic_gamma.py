@@ -33,7 +33,7 @@ class GammaEvaluator:
     """Gamma_p mod p^k by the block formula: O(p) tables of (r-1)! times
     (1, H_{r-1}, e2_{r-1}) mod p^k, one per residue r (and (1, 0, 0) for r = 0),
     then one modular power per call.  The (r-1)! column gives n! mod p^k for
-    n < p.  Immutable after construction."""
+    n < p, and (p-1)! mod p^2 gives G1 mod p.  Immutable after construction."""
 
     def __init__(self, ctx: ModulusContext):
         self.ctx = ctx
@@ -51,7 +51,10 @@ class GammaEvaluator:
 
     def factorial(self, n: int) -> int:
         """n! mod p^k for 0 <= n < p."""
-        return self._block if n == self.ctx.p - 1 else self._coeffs[n + 1][0]
+        p = self.ctx.p
+        if not 0 <= n < p:
+            raise ValueError(f"factorial index {n} outside [0, {p})")
+        return self._block if n == p - 1 else self._coeffs[n + 1][0]
 
     def gamma_at(self, m: int) -> int:
         """Gamma_p at the non-negative integer m, as an int in [0, modulus)."""
@@ -64,32 +67,25 @@ class GammaEvaluator:
         prod = pow(self._block, q, modulus) * (a + qp * (b + qp * c)) % modulus
         return prod if m % 2 == 0 else modulus - prod
 
+    def g1(self, r: int) -> int:
+        """G1 = Gamma_p'/Gamma_p mod p at any x = r (mod p): G1(1) + H_{(r-1) mod p}, with
+        G1(1) minus the Wilson quotient ((p-1)! + 1)/p, so k >= 2 (Gamma_p(1+p) = -(1 + G1(1) p))."""
+        p = self.ctx.p
+        if self.ctx.k < 2:
+            raise ValueError(f"G1 needs (p-1)! mod p^2, not mod p^{self.ctx.k}")
+        return (harmonic_mod((r - 1) % p, p) - (self._block + 1) // p) % p
+
     def gamma_p(self, x: RationalLike) -> Residue:
         """Gamma_p(x) mod p^k for a p-adic integer x."""
         return Residue(self.gamma_at(reduce_rational(x, self.ctx).value), self.ctx)
 
 
 @lru_cache(maxsize=1)
-def g1_of_one(p: int) -> int:
-    """G1(1) mod p, where G1 = Gamma_p'/Gamma_p: minus the Wilson quotient.
-
-    Gamma_p(1 + p) = (p-1)! = -(1 + G1(1) p) mod p^2, so
-    G1(1) = -((p-1)! + 1)/p mod p.
-    """
-    fact = 1
-    for j in range(2, p):
-        fact = fact * j % (p * p)
-    return -((fact + 1) // p) % p
-
-
-def g1_at(r: int, p: int) -> int:
-    """G1(x) mod p for any p-adic integer x = r (mod p), 0 <= r < p.
-
-    G1(x) = G1(1) + H_{s_p(x)-1}, and s_p(x) - 1 = (r - 1) mod p.
-    """
-    return (g1_of_one(p) + harmonic_mod((r - 1) % p, p)) % p
+def _evaluator_mod_p2(p: int) -> GammaEvaluator:
+    return GammaEvaluator(ModulusContext(p, 2))
 
 
 def g1(x: RationalLike, p: int) -> int:
-    """G1(x) mod p, the logarithmic derivative of Gamma_p at x."""
-    return g1_at(least_residue(x, p), p)
+    """G1(x) mod p, the logarithmic derivative of Gamma_p at x.  The evaluator
+    mod p^2 is kept for one prime, so a loop over x at one p builds it once."""
+    return _evaluator_mod_p2(p).g1(least_residue(x, p))

@@ -232,7 +232,9 @@ def test_criterion_9_conjecture_evidence():
                 findings.append(rec)
             if second_class[stmt] and rec.lhs % (p * p) != 0:
                 findings.append((rec, "second-class value not divisible by p^2"))
-        for a in sample_fractions(p, 20, SEED, parity="even"):
+        # the first 20 even-residue fractions of the seeded stream; a rejected draw leaves its state alone
+        evens = [a for a in sample_fractions(p, 80, SEED) if least_residue(a, p) % 2 == 0][:20]
+        for a in evens:
             rec = checker.check("CONJ_S4", a)
             s4_checked += 1
             if rec.verdict != PASS:

@@ -29,7 +29,7 @@ PUBLIC_API = {
     "IndexOutOfRange", "ModulusContext", "NotPAdicInteger",
     "PadicError", "Residue", "harmonic_mod", "is_prime", "least_residue", "reduce_rational", "sieve_primes",
     # padic_gamma
-    "GammaEvaluator", "g1", "g1_of_one",
+    "GammaEvaluator", "g1",
     # hyperseries
     "series_2f1_half", "series_3f2_one",
     # identities

@@ -546,6 +546,25 @@ def test_power3_scan_above_p1000_runs_without_force(tmp_path):
     assert digest == "99d0fe64a723364a3390079e27a5929729f24cc2774b5e8302c62fd3d3748b2a"
 
 
+@pytest.mark.parametrize(
+    "power, code, fails, digest",
+    [
+        ("1", EXIT_OK, 0, "73bfbf43a35d4070259c723e8ecf0416e1892048fc922ef89ffcb7c3e12df23f"),
+        ("3", EXIT_FAIL, 1830, "6caf2a51adab9c89781c287f5f88903f0346477e059e85c8685c7a1f1585bd88"),
+    ],
+    ids=["power1", "power3"],
+)
+def test_theorem_report_hash_under_power_override(tmp_path, power, code, fails, digest):
+    # LEMMA_B5's G1 term vanishes mod p and is first-order only mod p^3; both reports are frozen
+    out = tmp_path / "theorems.jsonl"
+    argv = ["--statements", "theorems", "--primes", "5..61", "--seed", "0", "--power", power]
+    assert main(argv + ["--out", str(out)]) == code
+    report = out.read_bytes()
+    assert report.count(b"\n") == 7040
+    assert report.count(b'"verdict": "FAIL"') == fails
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_behaviour_gate_report_hash(tmp_path, jobs):
     # the frozen whole-catalog report; a change to it must be deliberate

@@ -358,7 +358,8 @@ def test_scan_reduces_parameters_only_through_the_lift(monkeypatch, power):
     def refuse(*args):
         raise AssertionError(f"a rational reduced outside the lift: {args}")
 
-    monkeypatch.setattr(congruences, "least_residue", refuse)
+    monkeypatch.setattr(padic_gamma, "least_residue", refuse)
+    monkeypatch.setattr(padic_gamma, "g1", refuse)
     monkeypatch.setattr(padic_gamma, "reduce_rational", refuse)
     monkeypatch.setattr(hyperseries, "reduce_rational", refuse)
     monkeypatch.setattr(padic_gamma.GammaEvaluator, "gamma_p", refuse)
@@ -409,12 +410,6 @@ def test_sample_fractions_deterministic_and_bounded():
     for f in xs:
         assert abs(f.numerator) <= 20 and 1 <= f.denominator <= 20
         assert f.denominator % 13 != 0
-
-
-def test_sample_fractions_parity_filter():
-    for parity in ("even", "odd"):
-        for f in sample_fractions(11, 20, seed=7, parity=parity):
-            assert (least_residue(f, 11) % 2 == 0) == (parity == "even")
 
 
 def test_sample_fractions_respects_exclusions():

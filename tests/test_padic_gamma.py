@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import factorial, gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong.padic_core import ModulusContext, least_residue, reduce_rational, sieve_primes
-from supercong.padic_gamma import GammaEvaluator, g1, g1_of_one
+from supercong.padic_gamma import GammaEvaluator, g1
 from test_hyperseries import pochhammer_mod  # (x)_n factor by factor
 from test_padic_core import s_p
 
@@ -38,6 +39,13 @@ def test_factorial_tables_against_math_factorial():
         ev, m = GammaEvaluator(ModulusContext(p, k)), p**k
         for n in range(p):
             assert ev.factorial(n) == factorial(n) % m, (p, k, n)
+
+
+def test_factorial_refuses_an_index_outside_the_table():
+    ev = GammaEvaluator(ModulusContext(7, 2))
+    for n in (-2, -1, 7, 8):
+        with pytest.raises(ValueError):
+            ev.factorial(n)
 
 
 def test_gamma_against_definition_oracle():
@@ -176,25 +184,38 @@ def test_half_value_square():
         assert ev.gamma_p(Fraction(1, 2)).value ** 2 % ctx.modulus == (-1) ** ((p + 1) // 2) % ctx.modulus
 
 
-def test_g1_of_one_matches_wilson_quotient():
-    # Gamma_p(1+p) = -(1 + G1(1) p) mod p^2 pins G1(1) to minus the Wilson quotient.
-    for p in SMALL_PRIMES + [17, 19, 23]:
+def test_evaluator_g1_against_wilson_quotient_and_exact_harmonics():
+    # G1(x) = -((p-1)! + 1)/p + H_{(r-1) mod p} for x = r (mod p), from exact integers and fractions
+    for p in sieve_primes(5, 31):
         wilson = (factorial(p - 1) + 1) // p
-        assert g1_of_one(p) == -wilson % p
+        harmonic = [sum(Fraction(1, j) for j in range(1, n + 1)) for n in range(p)]
+        for k in (2, 3):
+            ev = GammaEvaluator(ModulusContext(p, k))
+            for r in range(p):
+                h = harmonic[(r - 1) % p]
+                assert ev.g1(r) == (h.numerator * pow(h.denominator, -1, p) - wilson) % p, (p, k, r)
 
 
-def test_g1_of_one_round_trip():
-    for p in SMALL_PRIMES:
-        ctx = ModulusContext(p, 2)
-        t = GammaEvaluator(ctx).gamma_at(1 + p)
-        assert t == -(1 + g1_of_one(p) * p) % ctx.modulus
+def test_evaluator_g1_round_trip_against_direct_product():
+    # Gamma_p(1+p) = -(1 + G1(1) p) mod p^2, Gamma_p from its defining product
+    for p in sieve_primes(5, 31):
+        m = p * p
+        oracle = gamma_oracle_table([1 + p], p, m)
+        assert oracle[1 + p] == -(1 + GammaEvaluator(ModulusContext(p, 2)).g1(1) * p) % m
+
+
+def test_evaluator_g1_needs_p_squared():
+    with pytest.raises(ValueError):
+        GammaEvaluator(ModulusContext(7, 1)).g1(1)
 
 
 def test_g1_examples():
+    # the public g1 reads the evaluator mod p^2 at the least residue
     for p in SMALL_PRIMES:
-        assert g1(Fraction(1), p) == g1_of_one(p)
-        assert g1(Fraction(0), p) == g1_of_one(p)  # H_{p-1} vanishes
-    assert g1(Fraction(2), 7) == (g1_of_one(7) + 1) % 7
+        ev = GammaEvaluator(ModulusContext(p, 2))
+        for x in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 3), Fraction(-p - 4)):
+            assert g1(x, p) == ev.g1(least_residue(x, p)), (p, x)
+        assert g1(Fraction(0), p) == g1(Fraction(1), p)  # H_{p-1} vanishes
 
 
 @settings(max_examples=40, deadline=None)
