@@ -15,6 +15,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -58,16 +59,17 @@ def __getattr__(name: str):
 
 
 class ScanConfig(
-    namedtuple("ScanConfig", "lo hi statements run_identities seed jobs out fmt strict n_max power file_params")
+    namedtuple("ScanConfig", "lo hi statements run_identities seed jobs out fmt strict n_max power file_params",
+               defaults=(0, 1, "-", "jsonl", False, 100, None, None))
 ):
-    """One scan's settings, checked when it is built: a bad value raises
-    ConfigError.  Configurations compare by value."""
+    """One scan's settings, checked when it is built: a bad value raises ConfigError.
+    Configurations compare by value.  The CLI's flags take their defaults from these."""
 
     __slots__ = ()
 
-    def __new__(cls, lo: int, hi: int, statements: list[str], run_identities: bool, seed: int = 0, jobs: int = 1,
-                out: str = "-", fmt: str = "jsonl", strict: bool = False, n_max: int = 100,
-                power: int | None = None, file_params: list[Fraction] | None = None):
+    def __new__(cls, *args, **kwargs):
+        row = super().__new__(cls, *args, **kwargs)
+        lo, hi, statements, run_identities, seed, jobs, out, fmt, strict, n_max, power, file_params = row
         if lo > hi:
             raise ConfigError(f"empty prime range {lo}..{hi}")
         if jobs < 1:
@@ -89,30 +91,49 @@ class ScanConfig(
             raise ConfigError(f"no primes >= 5 in {lo}..{hi}")
         if file_params == [] and any(STATEMENTS[s].takes_param for s in statements):
             raise ConfigError("the --params file holds no parameters")
-        return super().__new__(
-            cls, lo, hi, statements, run_identities, seed, jobs, out, fmt, strict, n_max, power, file_params
-        )
+        return row._replace(statements=statements)
 
 
 def parse_params(path: str) -> list[Fraction]:
-    """Read one fraction per line (num/den or int); '#' comments and blank
-    lines are ignored.  Malformed lines are reported with their number."""
+    """Read one fraction per line (num/den, integer or decimal); '#' comments
+    and blank lines are ignored.  Malformed lines are reported with their number."""
     try:
         with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not a parameter
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     params = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip().replace("−", "-")
         if not text:
             continue
         try:
-            f = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad parameter {text!r}: {exc}") from None
-        params.append(f)
+            params.append(_fraction(text, limit))
+        except ValueError as exc:
+            shown = text if len(text) <= 40 else text[:20] + "..."  # a refused line may hold thousands of digits
+            raise ConfigError(f"{path}:{lineno}: bad parameter {shown!r}: {exc}") from None
     return params
+
+
+def _fraction(text: str, limit: int) -> Fraction:
+    """text as a Fraction whose numerator and denominator have at most `limit` digits (0: any number),
+    whatever its notation; else a ValueError that does not repeat the text.  An exponent that passes the
+    limit by more than len(text) passes it in the value too, and is refused before Fraction builds 10**e."""
+    try:
+        exponent = int(text.lower().partition("e")[2])
+    except ValueError:  # none, or one that Fraction refuses
+        exponent = 0
+    digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if limit and (digits > limit or abs(exponent) > limit + len(text)):
+        raise ValueError(f"more than {limit} digits")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not an integer, decimal or num/den with den != 0") from None
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError(f"more than {limit} digits")
+    return value
 
 
 def resolve_statements(selection: str) -> tuple[list[str], bool]:
@@ -334,40 +355,6 @@ def run_scan(config: ScanConfig) -> int:
     return _exit_code(blocks, config.strict)
 
 
-def _env_default(name: str, fallback, choices: tuple[str, ...] | None = None):
-    """A default from SUPERCONG_<name>; argparse does not hold a default to the flag's choices."""
-    text = os.environ.get(ENV_PREFIX + name)
-    if text is None:
-        return fallback
-    if choices is not None and text not in choices:
-        raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not one of {', '.join(choices)}")
-    return text
-
-
-def _env_int(name: str, fallback: int | None, choices: tuple[int, ...] | None = None) -> int | None:
-    """An integer default from SUPERCONG_<name>, held to the flag's own checks."""
-    text = os.environ.get(ENV_PREFIX + name)
-    if text is None:
-        return fallback
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not an integer") from None
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{ENV_PREFIX}{name}={value} is not one of {', '.join(map(str, choices))}")
-    return value
-
-
-def _env_flag(name: str) -> bool:
-    """A boolean default from SUPERCONG_<name>: 1/true/yes or 0/false/no/empty, in any case."""
-    text = os.environ.get(ENV_PREFIX + name, "")
-    if text.lower() in ("1", "true", "yes"):
-        return True
-    if text.lower() in ("0", "false", "no", ""):
-        return False
-    raise ConfigError(f"{ENV_PREFIX}{name}={text!r} is not 1/true/yes or 0/false/no")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         # main prints one line and exits 2, not argparse's usage text and SystemExit
@@ -375,41 +362,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="supercong",
-        description="Verify truncated hypergeometric congruences and the exact "
-        "identities behind them.  Flags can be preset via SUPERCONG_* "
-        "environment variables (e.g. SUPERCONG_SEED).",
-    )
-    parser.add_argument("--primes", default=_env_default("PRIMES", "5..97"),
-                        help="prime range LO..HI (default %(default)s)")
-    parser.add_argument("--power", type=int, choices=(1, 2, 3),
-                        default=_env_int("POWER", None, (1, 2, 3)),
-                        help="override the comparison modulus power (exploratory)")
-    parser.add_argument("--statements", default=_env_default("STATEMENTS", "theorems"),
-                        help="comma list of statement ids, or all/theorems/conjectures/identities")
-    parser.add_argument("--params", default=_env_default("PARAMS", None),
-                        help="file with one parameter per line (num/den or int)")
-    parser.add_argument("--seed", type=int, default=_env_int("SEED", 0),
-                        help="seed of the fraction sampler (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=_env_int("JOBS", 1),
-                        help="worker processes, partitioned by prime")
-    parser.add_argument("--out", default=_env_default("OUT", "-"),
-                        help="report path, '-' for stdout (default)")
-    parser.add_argument("--format", dest="fmt", choices=("jsonl", "csv"),
-                        default=_env_default("FORMAT", "jsonl", ("jsonl", "csv")))
-    parser.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
-                        help="conjecture failures also flip the exit status")
-    parser.add_argument("--n-max", type=int, default=_env_int("N_MAX", 100),
-                        help="sweep bound for identity checks (default %(default)s)")
+    """The CLI's flags, each preset by SUPERCONG_<FLAG> and held to the flag's own type and choices."""
+    parser = _Parser(prog="supercong", description="Verify truncated hypergeometric congruences and the exact "
+                     "identities behind them.  A flag --x-y can be preset by the environment variable SUPERCONG_X_Y.")
+    add, default = parser.add_argument, ScanConfig._field_defaults
+    flags = [
+        add("--primes", default="5..97", help="prime range LO..HI (default %(default)s)"),
+        add("--power", type=int, choices=(1, 2, 3), help="override the comparison modulus power (exploratory)"),
+        add("--statements", default="theorems", help="comma list of ids, or all/theorems/conjectures/identities"),
+        add("--params", help="file with one parameter per line (num/den, integer or decimal)"),
+        add("--seed", type=int, default=default["seed"], help="seed of the fraction sampler (default %(default)s)"),
+        add("--jobs", type=int, default=default["jobs"], help="worker processes, partitioned by prime"),
+        add("--out", default=default["out"], help="report path, '-' for stdout (default)"),
+        add("--format", dest="fmt", choices=("jsonl", "csv"), default=default["fmt"]),
+        add("--strict", action="store_true", help="conjecture failures also flip the exit status"),
+        add("--n-max", type=int, default=default["n_max"], help="identity sweep bound (default %(default)s)"),
+    ]
+    for flag in flags:
+        name = ENV_PREFIX + flag.option_strings[0][2:].upper().replace("-", "_")
+        text = os.environ.get(name)
+        if text is None:
+            continue
+        if flag.nargs == 0:  # --strict: 1/true/yes or 0/false/no/empty, in any case
+            value = text.lower() in ("1", "true", "yes")
+            if not value and text.lower() not in ("0", "false", "no", ""):
+                raise ConfigError(f"{name}={text!r} is not 1/true/yes or 0/false/no")
+        else:
+            try:
+                value = (flag.type or str)(text)
+            except ValueError:
+                raise ConfigError(f"{name}={text!r}: invalid {flag.type.__name__} value") from None
+            # argparse holds a flag given on the command line to its choices, but not a default
+            if flag.choices is not None and value not in flag.choices:
+                raise ConfigError(f"{name}={text!r} is not one of {', '.join(map(str, flag.choices))}")
+        flag.default = value
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ScanConfig:
-    text = args.primes.replace(" ", "")
-    if ".." not in text:
-        raise ConfigError(f"bad prime range {args.primes!r}, expected LO..HI")
-    lo_text, hi_text = text.split("..", 1)
+    lo_text, _, hi_text = args.primes.replace(" ", "").partition("..")
     try:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
@@ -419,20 +410,8 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
     if args.params:
         # keep each (statement, p, a) triple unique even if the file repeats values
         file_params = list(dict.fromkeys(parse_params(args.params)))
-    return ScanConfig(
-        lo=lo,
-        hi=hi,
-        statements=statements,
-        run_identities=run_identities,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        fmt=args.fmt,
-        strict=args.strict,
-        n_max=args.n_max,
-        power=args.power,
-        file_params=file_params,
-    )
+    return ScanConfig(lo, hi, statements, run_identities, args.seed, args.jobs, args.out, args.fmt, args.strict,
+                      args.n_max, args.power, file_params)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -203,6 +203,7 @@ class StatementChecker:
     """
 
     def __init__(self, p: int):
+        ModulusContext(p, 1)  # refuses a p that is not a prime >= 5
         self.p = p
         self._gamma: dict[int, GammaEvaluator] = {}
         self._lifts: dict[tuple[int, int, int], int | None] = {}

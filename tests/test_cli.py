@@ -643,6 +643,79 @@ def test_bad_env_default_is_a_usage_error(monkeypatch, capsys, name, value):
     assert err.startswith(f"error: SUPERCONG_{name}=") and err.count("\n") == 1
 
 
+@pytest.fixture
+def no_presets(monkeypatch):
+    """An environment without SUPERCONG_* presets, whatever the shell running the tests sets."""
+    for name in list(os.environ):
+        if name.startswith("SUPERCONG_"):
+            monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize(
+    "name, text, field, preset, argv, flagged",
+    [
+        ("PRIMES", "5..7", "primes", "5..7", ["--primes", "11..13"], "11..13"),
+        ("POWER", "3", "power", 3, ["--power", "1"], 1),
+        ("STATEMENTS", "all", "statements", "all", ["--statements", "SUN_A2"], "SUN_A2"),
+        ("PARAMS", "a.txt", "params", "a.txt", ["--params", "b.txt"], "b.txt"),
+        ("SEED", "77", "seed", 77, ["--seed", "5"], 5),
+        ("JOBS", "2", "jobs", 2, ["--jobs", "3"], 3),
+        ("OUT", "a.jsonl", "out", "a.jsonl", ["--out", "b.jsonl"], "b.jsonl"),
+        ("FORMAT", "csv", "fmt", "csv", ["--format", "jsonl"], "jsonl"),
+        ("STRICT", "No", "strict", False, ["--strict"], True),
+        ("N_MAX", "7", "n_max", 7, ["--n-max", "9"], 9),
+    ],
+)
+def test_every_flag_has_a_preset_that_the_flag_beats(no_presets, monkeypatch, name, text, field, preset, argv, flagged):
+    monkeypatch.setenv("SUPERCONG_" + name, text)
+    assert getattr(build_parser().parse_args([]), field) == preset
+    assert getattr(build_parser().parse_args(argv), field) == flagged
+
+
+def test_strict_preset_words(no_presets, monkeypatch):
+    for text, strict in (("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("", False)):
+        monkeypatch.setenv("SUPERCONG_STRICT", text)
+        assert build_parser().parse_args([]).strict is strict
+
+
+def test_parser_defaults_are_scan_config_defaults(no_presets):
+    args = build_parser().parse_args([])
+    for field in ("seed", "jobs", "out", "fmt", "n_max"):
+        assert getattr(args, field) == ScanConfig._field_defaults[field]
+    assert args.power is None and args.params is None and args.strict is False
+    assert config_from_args(build_parser().parse_args(["--statements", "SUN_A2"])) == ScanConfig(5, 97, ["SUN_A2"], False)
+
+
+def test_scan_config_defaults_and_pickle():
+    config = ScanConfig(5, 7, ["SUN_A2", "SUN_A2"], False)
+    assert config == (5, 7, ["SUN_A2"], False, 0, 1, "-", "jsonl", False, 100, None, None)
+    assert ScanConfig(lo=5, hi=7, statements=["SUN_A2"], run_identities=False, jobs=2).jobs == 2
+    assert pickle.loads(pickle.dumps(config)) == config
+    with pytest.raises(TypeError):
+        ScanConfig(5, 7)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "1e5000", "1e-5000", "1e999999999", "-1E+1_000_000_000", "1" * 5001, "0." + "0" * 4300 + "1", "x" * 5001],
+    ids=["1e4300", "1e5000", "1e-5000", "1e999999999", "underscored-exponent", "5001-digit-literal", "long-decimal", "long-junk"],
+)
+def test_params_past_the_digit_limit_are_refused_at_once(tmp_path, capsys, text):
+    params = tmp_path / "params.txt"
+    params.write_text(text + "\n")
+    start = time.perf_counter()
+    assert main(["--primes", "5..7", "--statements", "SUN_A2", "--params", str(params), "--out", os.devnull]) == EXIT_USAGE
+    assert time.perf_counter() - start < 5
+    line = _usage_error_line(capsys)
+    assert "bad parameter" in line and len(line) < 200
+
+
+def test_params_in_any_notation_within_the_digit_limit(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_text("1e3\n-2.5e-1\n1_0\n" + "1" * 3000 + "/" + "7" * 3000 + "\n1e4299\n")
+    assert parse_params(str(path)) == [Fraction(1000), Fraction(-1, 4), Fraction(10), Fraction(1, 7), Fraction(10**4299)]
+
+
 def _cli_env(tmp_path):
     """A CLI subprocess's environment: this checkout's source, and an empty
     TMPDIR, where the scan keeps its spool of report text."""

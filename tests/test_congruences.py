@@ -374,6 +374,16 @@ def test_parameter_arity_enforced():
         check_statement("CONJ_S1", 5, Fraction(1))
 
 
+@pytest.mark.parametrize("p", [1, 3, 4, 9, 15, 25])
+def test_checker_refuses_a_p_that_is_not_a_prime_of_at_least_5(p):
+    # TRACE_C15 passed at p = 3; the SKIPPED paths (a p-adic non-integer, parity) never build a context
+    with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+        StatementChecker(p)
+    for stmt, a in (("TRACE_C15", 0), ("TRACE_C15", 2), ("SUN_A2", Fraction(1, p)), ("THM1_A4", 1), ("CONJ_S1", None)):
+        with pytest.raises(ValueError, match="p must be a prime >= 5"):
+            check_statement(stmt, p, a)
+
+
 def test_power_override():
     # exploratory run of the theorem at k = 1: still a congruence mod p
     rec = check_statement("THM1_A4", 7, 2)
