@@ -17,7 +17,8 @@ import json
 import os
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .congruences import (
@@ -223,33 +224,21 @@ def _scan_prime(task: tuple) -> list[tuple]:
 
 
 def _identity_records(n_max: int, fmt: str) -> list[tuple]:
-    """The report blocks of the identity sweep: one per identity, then RECURRENCES.
+    """The report blocks of the identity sweep: one per entry of identities._CHECKERS, then RECURRENCES.
 
     RECURRENCES runs first: its direct sums at every even n <= n_max make the
     parts of every sum the identities read, which the sweep shares."""
     from . import identities  # loaded only by a scan that runs the sweep
 
     blocks = []
-    evens = range(0, n_max + 1, 2)
     with identities.sweep(n_max):
         rec_report = identities.check_recurrences(n_max)
-        for ident, ns in (
-            ("B8", evens),
-            ("B9", evens),
-            ("B17", evens),
-            ("B18", evens),
-            ("GAUSS_HALF", evens),
-            ("CLAUSEN", range(n_max + 1)),
-        ):
-            run = []
-            for n in ns:
-                chk = identities._CHECKERS[ident](n)
-                run.append(
-                    ReportRecord(
-                        ident, None, None, Fraction(n), str(chk.lhs), str(chk.rhs),
-                        PASS if chk.ok else FAIL,
-                    )
-                )
+        for ident, check in identities._CHECKERS.items():
+            ns = range(0, n_max + 1, 1 if ident == "CLAUSEN" else 2)  # CLAUSEN holds at odd n too
+            run = [
+                ReportRecord(ident, None, None, Fraction(n), str(c.lhs), str(c.rhs), PASS if c.ok else FAIL)
+                for n, c in zip(ns, map(check, ns))
+            ]
             blocks.append(_render(run, fmt))
     failure = rec_report.first_failure
     lhs = "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}"
@@ -307,20 +296,13 @@ def write_records(blocks: list[tuple], fmt: str, stream, spool) -> None:
 
 
 def summarize(blocks: list[tuple]) -> str:
-    counts: dict[str, dict[str, int]] = {}
+    counts: dict[str, Counter] = defaultdict(Counter)
     for (statement, _), _, block_counts in blocks:
-        slot = counts.setdefault(statement, {PASS: 0, FAIL: 0, SKIPPED: 0})
-        for verdict, n in block_counts.items():
-            slot[verdict] += n
-    lines = [f"{'statement':<12} {'PASS':>7} {'FAIL':>7} {'SKIPPED':>8}"]
-    total = {PASS: 0, FAIL: 0, SKIPPED: 0}
-    for name in sorted(counts):
-        slot = counts[name]
-        lines.append(f"{name:<12} {slot[PASS]:>7} {slot[FAIL]:>7} {slot[SKIPPED]:>8}")
-        for key in total:
-            total[key] += slot[key]
-    lines.append(f"{'total':<12} {total[PASS]:>7} {total[FAIL]:>7} {total[SKIPPED]:>8}")
-    return "\n".join(lines)
+        counts[statement].update(block_counts)
+    rows = [*sorted(counts.items()), ("total", sum(counts.values(), Counter()))]
+    row = "{:<12} {:>7} {:>7} {:>8}".format
+    lines = [row(name, c[PASS], c[FAIL], c[SKIPPED]) for name, c in rows]
+    return "\n".join([row("statement", PASS, FAIL, SKIPPED), *lines])
 
 
 def _exit_code(blocks: list[tuple], strict: bool) -> int:
@@ -337,19 +319,16 @@ def run_scan(config: ScanConfig) -> int:
     # file with no name, which no exit path can leave behind.
     import tempfile
 
-    if config.out == "-":
-        with tempfile.TemporaryFile() as spool:
-            blocks = collect_records(config, spool)
-            write_records(blocks, config.fmt, sys.stdout, spool)
-            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        print(summarize(blocks), file=sys.stderr)
-    else:
-        # opened before the scan, as a shell redirection is: a path that
-        # cannot be written fails at once, not after the whole scan
-        with open(config.out, "w", encoding="utf-8", newline="") as handle, tempfile.TemporaryFile() as spool:
-            blocks = collect_records(config, spool)
-            write_records(blocks, config.fmt, handle, spool)
-        print(summarize(blocks))
+    to_stdout = config.out == "-"
+    # a path is opened before the scan, as a shell redirection is: one that
+    # cannot be written fails at once, not after the whole scan
+    report = nullcontext(sys.stdout) if to_stdout else open(config.out, "w", encoding="utf-8", newline="")
+    with report as stream, tempfile.TemporaryFile() as spool:
+        blocks = collect_records(config, spool)
+        write_records(blocks, config.fmt, stream, spool)
+        stream.flush()  # a closed pipe shows here, not at interpreter exit
+    print(summarize(blocks), file=sys.stderr if to_stdout else sys.stdout)
+    if not to_stdout:
         n_records = sum(sum(counts.values()) for _, _, counts in blocks)
         print(f"report: {config.out} ({n_records} records)")
     return _exit_code(blocks, config.strict)

@@ -127,16 +127,17 @@ def _thm3_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int
 
 def _lemma_b5_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # First-order perturbation of Gamma_p one step of size p away from a.  G1 mod p
-    # needs (p-1)! mod p^2; at k = 1 its term vanishes mod p.
+    # needs (p-1)! mod p^2, which the evaluator at k >= 2 holds; at k = 1 its term vanishes mod p.
     p, ev, m = chk.p, chk.gamma(k), chk.p**k
-    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + chk.gamma(2).g1(x % p) * p) % m
+    g1_term = ev.g1(x % p) * p if k > 1 else 0
+    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_term) % m
 
 
 def _trace_c9_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # The 2F1 against its closed form with first-order p-correction.
     p, ev, m = chk.p, chk.gamma(k), chk.p**k
     r = x % p
-    d = (chk.lift(a, 2) - r) // p  # the shift quotient (a - r)/p mod p, whatever k is
+    d = (x - r) // p  # the shift quotient (a - r)/p, read mod p; 0 at k = 1, where p w vanishes mod p anyway
     hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
     w = d * hdiff * ((p + 1) // 2) % p
     # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units

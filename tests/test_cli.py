@@ -416,6 +416,16 @@ def test_identity_sweep_calls_each_checker_once_per_record(monkeypatch):
     assert records["RECURRENCES"] == 1 and sum(records.values()) == 42
 
 
+def test_identity_sweep_reports_every_identity_in_the_checker_table(monkeypatch):
+    # the sweep reads its identities from identities._CHECKERS, not from a list of its own
+    monkeypatch.setitem(identities._CHECKERS, "B8_AGAIN", identities.check_b8)
+    blocks = cli._identity_records(6, "jsonl")
+    rows = [json.loads(line) for _, text, _ in blocks for line in text.splitlines()]
+    again = [(r["a_num"], r["lhs"], r["verdict"]) for r in rows if r["statement"] == "B8_AGAIN"]
+    b8 = [(r["a_num"], r["lhs"], r["verdict"]) for r in rows if r["statement"] == "B8"]
+    assert [n for n, _, _ in again] == [0, 2, 4, 6] and again == b8
+
+
 def test_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path):
     # Python >= 3.10.7 refuses str() of an int of more than 4,300 digits; B9's sides pass it near n = 7,150
     big = Fraction(10**5000 + 1, 3)
@@ -878,6 +888,24 @@ def test_stdout_report_into_a_text_stream(tmp_path):
     with contextlib.redirect_stdout(stream):
         assert main(argv) == EXIT_OK
     assert stream.getvalue().encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_stdout_report_equals_the_report_at_a_path(tmp_path, capsys, fmt):
+    # one body writes both: the same bytes, the summary on stderr beside a report on stdout,
+    # and on stdout followed by the report line beside a report at a path
+    argv = ["--statements", "all", "--primes", "5..31", "--n-max", "10", "--format", fmt]
+    assert main(argv + ["--out", "-"]) == EXIT_OK
+    to_stdout = capsys.readouterr()
+    out = tmp_path / f"r.{fmt}"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    to_path = capsys.readouterr()
+    assert to_stdout.out.encode() == out.read_bytes()
+    summary = to_stdout.err.splitlines()
+    assert summary[0].split() == ["statement", "PASS", "FAIL", "SKIPPED"] and summary[-1].startswith("total")
+    n_records = len(out.read_text().splitlines()) - (fmt == "csv")
+    assert to_path.out.splitlines() == summary + [f"report: {out} ({n_records} records)"]
+    assert to_path.err == ""
 
 
 def test_run_scan_unwritable_path(tmp_path):

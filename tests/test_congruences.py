@@ -367,6 +367,31 @@ def test_scan_reduces_parameters_only_through_the_lift(monkeypatch, power):
     assert [key for key, _, _ in blocks] == [(s, 13) for s in STATEMENTS]
 
 
+@pytest.mark.parametrize(
+    "power, evaluators, lifts",
+    [(None, [2, 3], {1, 2, 3}), (1, [1], {1}), (3, [3], {1, 3})],
+)
+def test_scan_reads_only_the_powers_it_checks(monkeypatch, power, evaluators, lifts):
+    # one Gamma evaluator per power checked, and lifts only at those powers and TRACE_C15's fixed 1;
+    # LEMMA_B5 and TRACE_C9 once built an evaluator and lifted mod p^2 under --power 1 and 3 too
+    built, lifted = [], set()
+    real_init, real_lift = padic_gamma.GammaEvaluator.__init__, StatementChecker.lift
+
+    def counting_init(self, ctx):
+        built.append(ctx.k)
+        real_init(self, ctx)
+
+    def counting_lift(self, a, k):
+        lifted.add(k)
+        return real_lift(self, a, k)
+
+    monkeypatch.setattr(padic_gamma.GammaEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(StatementChecker, "lift", counting_lift)
+    cli._scan_prime((13, tuple(STATEMENTS), None, 0, power, "jsonl"))
+    assert sorted(built) == evaluators
+    assert lifted == lifts
+
+
 def test_parameter_arity_enforced():
     with pytest.raises(ValueError):
         check_statement("THM1_A4", 5)
