@@ -80,6 +80,8 @@ class ScanConfig(
         if power not in (None, 1, 2, 3):
             raise ConfigError(f"power must be 1, 2 or 3, got {power}")
         statements = list(dict.fromkeys(statements))  # one record per (statement, p, a)
+        if file_params is not None:  # likewise: 1 and Fraction(1) are one parameter
+            file_params = list(dict.fromkeys(file_params))
         unknown = [s for s in statements if s not in STATEMENTS]
         if unknown:
             raise ConfigError(f"unknown statements: {', '.join(unknown)}")
@@ -92,7 +94,7 @@ class ScanConfig(
             raise ConfigError(f"no primes >= 5 in {lo}..{hi}")
         if file_params == [] and any(STATEMENTS[s].takes_param for s in statements):
             raise ConfigError("the --params file holds no parameters")
-        return row._replace(statements=statements)
+        return row._replace(statements=statements, file_params=file_params)
 
 
 def parse_params(path: str) -> list[Fraction]:
@@ -230,18 +232,26 @@ def _identity_records(n_max: int, fmt: str) -> list[tuple]:
     parts of every sum the identities read, which the sweep shares."""
     from . import identities  # loaded only by a scan that runs the sweep
 
+    # Identity sides outgrow the 4,300-digit int str() limit of Python 3.10.7+ (B9 near n = 7,150).  Every str()
+    # of a side is made here, under the limit lifted and put back on return: a --params value is still held to it.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_digit_limit(0)
     blocks = []
-    with identities.sweep(n_max):
-        rec_report = identities.check_recurrences(n_max)
-        for ident, check in identities._CHECKERS.items():
-            ns = range(0, n_max + 1, 1 if ident == "CLAUSEN" else 2)  # CLAUSEN holds at odd n too
-            run = [
-                ReportRecord(ident, None, None, Fraction(n), str(c.lhs), str(c.rhs), PASS if c.ok else FAIL)
-                for n, c in zip(ns, map(check, ns))
-            ]
-            blocks.append(_render(run, fmt))
-    failure = rec_report.first_failure
-    lhs = "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}"
+    try:
+        with identities.sweep(n_max):
+            rec_report = identities.check_recurrences(n_max)
+            for ident, check in identities._CHECKERS.items():
+                ns = range(0, n_max + 1, 1 if ident == "CLAUSEN" else 2)  # CLAUSEN holds at odd n too
+                run = [
+                    ReportRecord(ident, None, None, Fraction(n), str(c.lhs), str(c.rhs), PASS if c.ok else FAIL)
+                    for n, c in zip(ns, map(check, ns))
+                ]
+                blocks.append(_render(run, fmt))
+        failure = rec_report.first_failure
+        lhs = "0" if failure is None else f"{failure.identity}[{failure.n}]={failure.lhs}"
+    finally:
+        set_digit_limit(digit_limit)
     record = ReportRecord("RECURRENCES", None, None, Fraction(n_max), lhs, "0", PASS if rec_report.passed else FAIL)
     blocks.append(_render([record], fmt))
     return blocks
@@ -385,23 +395,13 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
     except ValueError:
         raise ConfigError(f"bad prime range {args.primes!r}, expected LO..HI") from None
     statements, run_identities = resolve_statements(args.statements)
-    file_params = None
-    if args.params:
-        # keep each (statement, p, a) triple unique even if the file repeats values
-        file_params = list(dict.fromkeys(parse_params(args.params)))
     return ScanConfig(lo, hi, statements, run_identities, args.seed, args.jobs, args.out, args.fmt, args.strict,
-                      args.n_max, args.power, file_params)
+                      args.n_max, args.power, parse_params(args.params) if args.params else None)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Identity sides outgrow the 4,300-digit int str() limit of Python 3.10.7+ (B9 near n = 7,150).
-    # Lifted only after the --params parse, which keeps it as a guard on outside input, and put back on return.
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     try:
-        config = config_from_args(build_parser().parse_args(argv))
-        set_digit_limit(0)
-        return run_scan(config)
+        return run_scan(config_from_args(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -415,8 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # a report named by --out keeps what was written, as after a shell redirection
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
-    finally:
-        set_digit_limit(digit_limit)
 
 
 if __name__ == "__main__":

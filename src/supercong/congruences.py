@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .padic_core import ModulusContext, RationalLike, harmonic_mod
+from .padic_core import ModulusContext, RationalLike, _lift, harmonic_mod
 from .padic_gamma import GammaEvaluator
 from .hyperseries import series_2f1_half, series_3f2_one
 
@@ -166,8 +166,7 @@ def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
         lhs, rhs = _thm2_sides(chk, a0, chk.lift(a0, k), k)
         if chk.p % n in first:
             return lhs, rhs
-        m = chk.p**k
-        return lhs, -c.numerator * chk.p**2 * pow(c.denominator, -1, m) * rhs % m
+        return lhs, -chk.lift(c, k) * chk.p**2 * rhs % chk.p**k
 
     return sides
 
@@ -221,9 +220,7 @@ class StatementChecker:
         try:
             return self._lifts[key]
         except KeyError:
-            m = self.p**k
-            x = None if a.denominator % self.p == 0 else a.numerator * pow(a.denominator, -1, m) % m
-            self._lifts[key] = x
+            x = self._lifts[key] = _lift(a.numerator, a.denominator, self.p, self.p**k)
             return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:

@@ -91,24 +91,27 @@ class Residue(namedtuple("Residue", "value ctx")):
         return f"Residue({self.value} mod {self.ctx.modulus})"
 
 
-def _check_p_adic(a: Fraction, p: int) -> None:
-    if a.denominator % p == 0:
+def _lift(num: int, den: int, p: int, modulus: int) -> int | None:
+    """num/den mod p^k in [0, p^k), or None when p divides den: the one reduction of the package."""
+    return None if den % p == 0 else num * pow(den, -1, modulus) % modulus
+
+
+def _lift_p_adic(a: RationalLike, p: int, modulus: int) -> int:
+    a = Fraction(a)
+    x = _lift(a.numerator, a.denominator, p, modulus)
+    if x is None:
         raise NotPAdicInteger(f"{a} is not a p-adic integer at p={p}")
+    return x
 
 
 def reduce_rational(a: RationalLike, ctx: ModulusContext) -> Residue:
     """Image of a p-adic integer a = num/den in Z/p^k."""
-    a = Fraction(a)
-    _check_p_adic(a, ctx.p)
-    m = ctx.modulus
-    return Residue(a.numerator * pow(a.denominator % m, -1, m) % m, ctx)
+    return Residue(_lift_p_adic(a, ctx.p, ctx.modulus), ctx)
 
 
 def least_residue(a: RationalLike, p: int) -> int:
     """The least non-negative integer r < p with a = r (mod p)."""
-    a = Fraction(a)
-    _check_p_adic(a, p)
-    return a.numerator * pow(a.denominator % p, -1, p) % p
+    return _lift_p_adic(a, p, p)
 
 
 @lru_cache(maxsize=1)

@@ -141,6 +141,19 @@ def test_repeated_statement_ids_give_one_record_per_point():
     assert len(rows) == len({(r["statement"], r["p"], r["a_num"], r["a_den"]) for r in rows}) == 29
 
 
+def test_repeated_parameters_give_one_record_per_point():
+    # ScanConfig drops repeated parameters as it drops repeated statements, for every caller, not only the CLI
+    repeated = ScanConfig(5, 7, ["SUN_A2"], False, file_params=[Fraction(1), 1, Fraction(3)])
+    assert repeated.file_params == [1, 3]
+    texts = []
+    for config in (repeated, ScanConfig(5, 7, ["SUN_A2"], False, file_params=[1, 3])):
+        spool = io.BytesIO()
+        texts.append(_texts(collect_records(config, spool), spool))
+    assert texts[0] == texts[1]
+    rows = [json.loads(line) for text in texts[0] for line in text.splitlines()]
+    assert [(r["p"], r["a_num"], r["a_den"]) for r in rows] == [(p, a, 1) for p in (5, 7) for a in (1, 3)]
+
+
 def test_small_scan_jsonl(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["--primes", "5..11", "--statements", "THM1_A4", "--out", str(out)])
@@ -439,6 +452,23 @@ def test_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str() digit limit before 3.10.7")
+def test_run_scan_writes_identity_sides_past_the_str_digit_limit(monkeypatch, tmp_path, capsys):
+    # the identity sweep lifts the limit itself, so a library caller of run_scan needs no main around it
+    big = Fraction(10**5000 + 1, 3)
+    monkeypatch.setitem(identities._CHECKERS, "B8", lambda n: identities.IdentityCheck("B8", n, big, big))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # a fresh interpreter's limit
+    try:
+        out = tmp_path / "identities.jsonl"
+        assert run_scan(ScanConfig(5, 5, [], True, n_max=0, out=str(out))) == EXIT_OK
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    b8 = [json.loads(line) for line in out.read_text().splitlines() if '"B8"' in line]
+    assert len(b8) == 1 and b8[0]["lhs"] == "1" + "0" * 4999 + "1/3"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str() digit limit before 3.10.7")
 def test_main_puts_the_str_digit_limit_back(tmp_path, capsys):
     # main lifts the limit for the identity sides; left lifted, a second main in
     # the same process took a --params value that a fresh process refuses
@@ -583,6 +613,27 @@ def test_behaviour_gate_report_hash(tmp_path, jobs):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "363a52eb7d5e57376c2a09666d264b325f75bee83a6e5e2f6491c3adef764c64"
+
+
+@pytest.mark.parametrize(
+    "argv, name, lines, digest",
+    [
+        (["--statements", "theorems", "--primes", "5..199"], "thm.jsonl", 42224,
+         "0c93a10f57442a281af5d6a1b4810520941b3e8f2d3a2dabe53db587d19ff449"),
+        (["--statements", "conjectures", "--primes", "5..199"], "conj.jsonl", 5410,
+         "4849c4c2af267cceeff995c6bad554c1e5059f96d2bd04249cd02684dffc0d65"),
+        (["--statements", "all", "--primes", "5..61", "--format", "csv"], "all.csv", 8326,
+         "24ad2248f7457db6d5af65e6501cc338d96f4de03bf527fb58c21e5856c73db5"),
+    ],
+    ids=["theorems", "conjectures", "all-csv"],
+)
+def test_frozen_scan_report_hashes(tmp_path, argv, name, lines, digest):
+    # the benchmark's theorem and conjecture scans, and a CSV report of the whole catalog
+    out = tmp_path / name
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == EXIT_OK
+    report = out.read_bytes()
+    assert report.count(b"\n") == lines
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 def test_identity_sweep_report_hash(tmp_path):

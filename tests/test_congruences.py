@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from supercong import cli, congruences, hyperseries, padic_gamma
-from supercong.padic_core import ModulusContext, least_residue, reduce_rational, sieve_primes
+from supercong.padic_core import ModulusContext, NotPAdicInteger, least_residue, reduce_rational, sieve_primes
 from supercong.padic_gamma import g1
 from supercong.hyperseries import series_2f1_half
 from supercong.congruences import (
@@ -336,18 +336,27 @@ def test_non_p_adic_parameter_is_skipped():
     assert rec.verdict == SKIPPED and "p-adic" in rec.skip_reason
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_lift_is_the_checkers_only_reduction(p):
+    # one reduction serves the lift and the public reducers: None from the lift exactly where both raise
     checker = StatementChecker(p)
     extra = [Fraction(1, p), Fraction(3, 2 * p), Fraction(-1), Fraction(-p - 3), Fraction(p), Fraction(p * p + 2)]
+    extra += [Fraction(num, den) for num in range(-40, 41) for den in range(1, 41)] + list(range(-40, 41))
     for k in (1, 2, 3):
         ctx = ModulusContext(p, k)
         for a in default_parameters(p) + extra:
-            x = checker.lift(a, k)
-            if a.denominator % p == 0:
-                assert x is None, (p, k, a)
+            x = checker.lift(Fraction(a), k)
+            reduced = []
+            for reduce in (lambda: reduce_rational(a, ctx).value, lambda: least_residue(a, p)):
+                try:
+                    reduced.append(reduce())
+                except NotPAdicInteger as exc:
+                    assert str(exc) == f"{a} is not a p-adic integer at p={p}"
+                    reduced.append(None)
+            if Fraction(a).denominator % p == 0:
+                assert x is None and reduced == [None, None], (p, k, a)
             else:
-                assert x % p == least_residue(a, p) and x == reduce_rational(a, ctx).value, (p, k, a)
+                assert reduced == [x, x % p], (p, k, a)
     assert type(checker.check("THM1_A4", 2).a) is Fraction  # API callers pass ints
     a = Fraction(-1, 2)
     assert checker.check("THM1_A4", a).a is a
