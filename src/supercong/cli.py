@@ -172,11 +172,20 @@ def _json(value) -> str:
     return "null" if value is None else json.dumps(value)
 
 
-def _render(records: list[ReportRecord], fmt: str) -> tuple[tuple[str, int], str, dict[str, int]]:
+def _a_text(a: Fraction | None) -> str:
+    """A JSONL line's parameter fields, with the separator after them."""
+    return '"a_num": null, "a_den": null, ' if a is None else f'"a_num": {a.numerator}, "a_den": {a.denominator}, '
+
+
+def _render(
+    records: list[ReportRecord], fmt: str, a_texts: list[str] | None = None
+) -> tuple[tuple[str, int], str, dict[str, int]]:
     """One block of the report from a run of records that share statement, p
     and k, in report order: its sort key (statement, p, with 0 for no p), its
     report text and its verdict counts.  Each JSONL line is byte-equal to
-    json.dumps(record.to_dict()); statement, p and k are rendered once."""
+    json.dumps(record.to_dict()); statement, p and k are rendered once, int
+    sides are formatted directly, and ``a_texts``, if given, holds each
+    record's _a_text, which a prime's runs share."""
     first = records[0]
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     if fmt == "csv":
@@ -192,36 +201,51 @@ def _render(records: list[ReportRecord], fmt: str) -> tuple[tuple[str, int], str
         head = f'{{"statement": {json.dumps(first.statement)}, "p": {_json(first.p)}, "k": {_json(first.k)}, '
         ends: dict = {}  # (verdict, skip reason) -> the end of the line
         lines = []
-        for r in records:
+        for r, a_text in zip(records, a_texts or [_a_text(r.a) for r in records]):
             counts[r.verdict] += 1
             end = ends.get((r.verdict, r.skip_reason))
             if end is None:
                 end = ends[r.verdict, r.skip_reason] = (
                     f'"verdict": {json.dumps(r.verdict)}, "skip_reason": {_json(r.skip_reason)}}}\n'
                 )
-            a_num, a_den = ("null", "null") if r.a is None else (r.a.numerator, r.a.denominator)
-            lines.append(
-                f'{head}"a_num": {a_num}, "a_den": {a_den}, "lhs": {_json(r.lhs)}, "rhs": {_json(r.rhs)}, {end}'
-            )
+            lhs, rhs = r.lhs, r.rhs
+            if lhs.__class__ is not int:
+                lhs = _json(lhs)
+            if rhs.__class__ is not int:
+                rhs = _json(rhs)
+            lines.append(f'{head}{a_text}"lhs": {lhs}, "rhs": {rhs}, {end}')
         text = "".join(lines)
     return (first.statement, first.p or 0), text, counts
+
+
+def _sorted_defaults(p: int, seed: int) -> list[Fraction]:
+    """sorted(default_parameters(p, seed)), without sorting the integers 0..p-1 that open it:
+    the others, none an integer of [0, p), are sorted and merged in by their floors."""
+    params = default_parameters(p, seed)
+    merged, start = [], 0
+    for floor, a in sorted((a.numerator // a.denominator, a) for a in params[p:]):  # Fractions compared on ties only
+        stop = min(max(floor + 1, 0), p)  # past the integers <= a
+        merged += params[start:stop]
+        merged.append(a)
+        start = stop
+    return merged + params[start:p]
 
 
 def _scan_prime(task: tuple) -> list[tuple]:
     """The report blocks of one prime, one per statement: plain strings and
     dicts, so that a pool worker ships no record and no Fraction."""
     p, stmt_ids, file_params, seed, power, fmt = task
-    checker = StatementChecker(p)
-    params = None
+    check = StatementChecker(p).check
+    params = a_texts = None
     blocks = []
     for stmt_id in stmt_ids:
         if STATEMENTS[stmt_id].takes_param:
             if params is None:  # ascending: each (statement, p) run of records is in report order
-                params = sorted(file_params if file_params is not None else default_parameters(p, seed))
-            run = [checker.check(stmt_id, a, power=power) for a in params]
+                params = sorted(file_params) if file_params is not None else _sorted_defaults(p, seed)
+                a_texts = [_a_text(a) for a in params]
+            blocks.append(_render([check(stmt_id, a, power) for a in params], fmt, a_texts))
         else:
-            run = [checker.check(stmt_id, power=power)]
-        blocks.append(_render(run, fmt))
+            blocks.append(_render([check(stmt_id, None, power)], fmt))
     return blocks
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
-from .padic_core import ModulusContext, RationalLike, _lift, harmonic_mod
+from .padic_core import ModulusContext, RationalLike, _harmonic_table, _lift
 from .padic_gamma import GammaEvaluator
 from .hyperseries import series_2f1_half, series_3f2_one
 
@@ -92,32 +93,38 @@ class ReportRecord:
         }
 
 
-def _gamma_pair(x: int, ev: GammaEvaluator) -> int:
-    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k, from the lift x of a mod p^k."""
-    m = ev.ctx.modulus
-    half = (m + 1) // 2  # 2^-1 mod p^k
-    return ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
+def _gamma_pair(chk: StatementChecker, x: int, k: int) -> int:
+    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k from the lift x of a, computed once per (k, x)."""
+    g = chk._pairs.get((k, x))
+    if g is None:
+        ev = chk.gamma(k)
+        m = ev.ctx.modulus
+        half = (m + 1) // 2  # 2^-1 mod p^k
+        g = chk._pairs[k, x] = ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
+    return g
 
 
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
 # whose lift x mod p^k meets the hypothesis.  Series are cached per kernel
-# object and a, the Gamma side works on x, and r = x mod p.  Each sides
+# object and a, the Gamma side works on x, and r = x mod p; values that
+# depend only on (k, x) or (k, r) are computed once per checker.  Each sides
 # function looks the kernels up as module globals when it runs, so that a
 # kernel patched by name (tracing, tests) is the one every statement reads.
 
 
 def _thm1_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
-    # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
-    ev, m = chk.gamma(k), chk.p**k
-    free_of_a = pow(-1, (chk.p + 1) // 2, m) * ev.gamma_at((m + 1) // 2) % m
-    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(x, ev) % m
+    # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2); the factor free of a once per k
+    m = chk.p**k
+    free_of_a = chk._free_of_a.get(k)
+    if free_of_a is None:
+        free_of_a = chk._free_of_a[k] = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2) % m
+    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(chk, x, k) % m
 
 
 def _thm2_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S1..S4, mod p^3
-    ev, m = chk.gamma(k), chk.p**k
-    g = _gamma_pair(x, ev)
-    return chk.series(series_3f2_one, a, k), pow(-1, (chk.p + 1) // 2, m) * g % m * g % m
+    g = _gamma_pair(chk, x, k)
+    return chk.series(series_3f2_one, a, k), chk._sign * g * g % chk.p**k
 
 
 def _thm3_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
@@ -135,25 +142,28 @@ def _lemma_b5_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple
 
 def _trace_c9_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # The 2F1 against its closed form with first-order p-correction.
-    p, ev, m = chk.p, chk.gamma(k), chk.p**k
+    p, m = chk.p, chk.p**k
     r = x % p
+    base = chk._c9.get((k, r))
+    if base is None:
+        # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
+        ev, h = chk.gamma(k), _harmonic_table(p)
+        binomial = ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
+        hdiff = (h[(p - r - 1) // 2] - h[r // 2]) * ((p + 1) // 2) % p  # halved, mod p
+        base = chk._c9[k, r] = (binomial * pow(-1, r // 2, m) % m, hdiff)
+    binomial, hdiff = base
     d = (x - r) // p  # the shift quotient (a - r)/p, read mod p; 0 at k = 1, where p w vanishes mod p anyway
-    hdiff = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-    w = d * hdiff * ((p + 1) // 2) % p
-    # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
-    rhs = ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
-    rhs = rhs * pow(-1, r // 2, m) % m
-    return chk.series(series_2f1_half, a, k), rhs * (1 + w * p) % m
+    w = d * hdiff % p
+    return chk.series(series_2f1_half, a, k), binomial * (1 + w * p) % m
 
 
 def _trace_c15_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # Harmonic/log-derivative cancellation mod p: G1(y) = G1(1) + H_{s_p(y)-1}, so the G1(1)
-    # terms cancel.  The least residues s1 of -a/2 and s2 of (a+1)/2 mod p come from r alone.
+    # terms cancel.  The least residues s1 of -a/2 and s2 of (a+1)/2 mod p come from r alone,
+    # s1 - 1 = -r/2 - 1 and s2 - 1 = (r+1)/2 - 1 mod p.
     p, r = chk.p, x % chk.p
-    half = (p + 1) // 2  # 2^-1 mod p
-    s1, s2 = -r * half % p, (r + 1) * half % p
-    out = harmonic_mod((p - r - 1) // 2, p) - harmonic_mod(r // 2, p)
-    out += harmonic_mod((s1 - 1) % p, p) - harmonic_mod((s2 - 1) % p, p)
+    h, half = _harmonic_table(p), (p + 1) // 2  # H_0..H_{p-1} mod p, 2^-1 mod p
+    out = h[(p - r - 1) // 2] - h[r // 2] + h[(-r * half - 1) % p] - h[((r + 1) * half - 1) % p]
     return out % p, 0
 
 
@@ -199,15 +209,20 @@ class StatementChecker:
     and reused.  Each parameter is lifted mod p^k once per k: the lift gives
     the p-adic hypothesis, the least residue r = x mod p and every Gamma-side
     value, and each truncated series is evaluated once per (k, a) whichever
-    statements read it.
+    statements read it.  So is each Gamma-side value that depends only on
+    (k, x) or (k, r), such as the pair Gamma_p(-a/2) Gamma_p((a+1)/2).
     """
 
     def __init__(self, p: int):
         ModulusContext(p, 1)  # refuses a p that is not a prime >= 5
         self.p = p
+        self._sign = -1 if p % 4 == 1 else 1  # (-1)^((p+1)/2)
         self._gamma: dict[int, GammaEvaluator] = {}
         self._lifts: dict[tuple[int, int, int], int | None] = {}
         self._series: dict[tuple, int] = {}
+        self._pairs: dict[tuple[int, int], int] = {}  # (k, x) -> Gamma_p(-a/2) Gamma_p((a+1)/2)
+        self._free_of_a: dict[int, int] = {}  # k -> THM1_A4's (-1)^((p+1)/2) Gamma_p(1/2)
+        self._c9: dict[tuple[int, int], tuple[int, int]] = {}  # (k, r) -> TRACE_C9's closed form and H term
 
     def gamma(self, k: int) -> GammaEvaluator:
         if k not in self._gamma:
@@ -216,19 +231,20 @@ class StatementChecker:
 
     def lift(self, a: Fraction, k: int) -> int | None:
         """a mod p^k, in [0, p^k), computed once per (k, a); None when p divides a's denominator."""
-        key = (k, a.numerator, a.denominator)  # hashes far faster than a Fraction
-        try:
-            return self._lifts[key]
-        except KeyError:
-            x = self._lifts[key] = _lift(a.numerator, a.denominator, self.p, self.p**k)
-            return x
+        num, den = a.numerator, a.denominator  # properties: read once
+        key = (k, num, den)  # hashes far faster than a Fraction
+        x = self._lifts.get(key, -1)  # -1: not lifted yet
+        if x == -1:
+            x = self._lifts[key] = _lift(num, den, self.p, self.p**k)
+        return x
 
     def series(self, kernel, a: Fraction, k: int) -> int:
         """kernel(a, context mod p^k, lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
-        key = (kernel, k, a.numerator, a.denominator)  # not the lift: -1/6 and 4 agree mod 25
+        num, den = a.numerator, a.denominator
+        key = (kernel, k, num, den)  # not the lift: -1/6 and 4 agree mod 25
         value = self._series.get(key)
-        if value is None:
-            value = self._series[key] = kernel(a, self.gamma(k).ctx, self.lift(a, k)).value
+        if value is None:  # a check lifted a first; without a lift the kernel reduces a itself
+            value = self._series[key] = kernel(a, self.gamma(k).ctx, self._lifts.get((k, num, den))).value
         return value
 
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:
@@ -238,23 +254,26 @@ class StatementChecker:
         as SKIPPED.  ``power`` overrides the catalog modulus power, for
         exploratory runs only.
         """
-        st = STATEMENTS[stmt_id]
-        k = st.power if power is None or st.fixed_power else power
+        _, k, _, parity, takes_param, sides, fixed_power = STATEMENTS[stmt_id]
+        if power is not None and not fixed_power:
+            k = power
         p = self.p
         x = None
-        if st.takes_param:
+        if takes_param:
             if a is None:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
             if not isinstance(a, Fraction):  # API callers pass ints
                 a = Fraction(a)
-            x = self.lift(a, k)
+            x = self._lifts.get((k, a.numerator, a.denominator), -1)  # the lift's cache, read inline
+            if x == -1:
+                x = self.lift(a, k)
             if x is None:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
-            if st.parity is not None and (x % p % 2 == 0) != (st.parity == "even"):
+            if parity is not None and (x % p % 2 == 0) != (parity == "even"):
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
         elif a is not None:
             raise ValueError(f"statement {stmt_id} takes no parameter")
-        lhs, rhs = st.sides(self, a, x, k)
+        lhs, rhs = sides(self, a, x, k)
         verdict = PASS if lhs == rhs else FAIL
         return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
 
@@ -300,7 +319,7 @@ def sample_fractions(
     divisible by p, repeats and excluded values.
     """
     state = (seed & _MASK64) ^ (p * _GOLDEN & _MASK64)
-    seen: set[Fraction] = set(exclude)
+    seen = {(f.numerator, f.denominator) for f in exclude}  # reduced pairs hash far faster than Fractions
     out: list[Fraction] = []
     guard = 0
     while len(out) < count:
@@ -313,11 +332,12 @@ def sample_fractions(
         den = v2 % SAMPLE_BOUND + 1
         if den % p == 0:
             continue
-        f = Fraction(num, den)
-        if f in seen:
+        g = gcd(num, den)
+        key = (num // g, den // g)
+        if key in seen:
             continue
-        seen.add(f)
-        out.append(f)
+        seen.add(key)
+        out.append(Fraction(*key))
     return out
 
 
@@ -326,5 +346,6 @@ def default_parameters(p: int, seed: int = 0) -> list[Fraction]:
     named rationals, and SAMPLE_COUNT seeded fractions distinct from both."""
     base = [Fraction(i) for i in range(p)]
     base.extend(NAMED_RATIONALS)
-    sampled = sample_fractions(p, SAMPLE_COUNT, seed, exclude=set(base))
+    # the sampler's integers lie in [-SAMPLE_BOUND, SAMPLE_BOUND]: only 0..SAMPLE_BOUND of base can repeat
+    sampled = sample_fractions(p, SAMPLE_COUNT, seed, exclude={*base[: SAMPLE_BOUND + 1], *NAMED_RATIONALS})
     return base + sampled

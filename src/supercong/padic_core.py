@@ -85,7 +85,7 @@ class Residue(namedtuple("Residue", "value ctx")):
     def __new__(cls, value: int, ctx: ModulusContext):
         if not 0 <= value < ctx.modulus:
             raise ValueError(f"value {value} out of range [0, {ctx.modulus})")
-        return super().__new__(cls, value, ctx)
+        return tuple.__new__(cls, (value, ctx))  # the namedtuple's own __new__, without its frame
 
     def __repr__(self) -> str:
         return f"Residue({self.value} mod {self.ctx.modulus})"
@@ -93,6 +93,8 @@ class Residue(namedtuple("Residue", "value ctx")):
 
 def _lift(num: int, den: int, p: int, modulus: int) -> int | None:
     """num/den mod p^k in [0, p^k), or None when p divides den: the one reduction of the package."""
+    if den == 1:  # most scan parameters are the integers 0..p-1
+        return num % modulus
     return None if den % p == 0 else num * pow(den, -1, modulus) % modulus
 
 

@@ -12,6 +12,10 @@ every full block of p - 1 factors is (p-1)! mod p^3 and, for m = qp + r with
 0 <= r < p (the partial block is 1 when r = 0),
 
     F(m) = ((p-1)!)^q (r-1)! (1 + qp H_{r-1} + (qp)^2 e2_{r-1})  (mod p^3).
+
+Wilson's theorem gives s = (p-1)! + 1 = 0 mod p, so the binomial expansion
+((p-1)!)^q = (-1)^q (1 - s)^q = (-1)^q (1 - q s + C(q, 2) s^2) mod p^3 needs no
+power, and Gamma_p(m) = (-1)^m F(m) has the sign (-1)^(m+q) = (-1)^r.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .padic_core import (
     ModulusContext,
     RationalLike,
     Residue,
-    harmonic_mod,
+    _harmonic_table,
     least_residue,
     reduce_rational,
     unit_inverse_table,
@@ -32,8 +36,9 @@ from .padic_core import (
 class GammaEvaluator:
     """Gamma_p mod p^k by the block formula: O(p) tables of (r-1)! times
     (1, H_{r-1}, e2_{r-1}) mod p^k, one per residue r (and (1, 0, 0) for r = 0),
-    then one modular power per call.  The (r-1)! column gives n! mod p^k for
-    n < p, and (p-1)! mod p^2 gives G1 mod p.  Immutable after construction."""
+    then a few multiplications per call, with ((p-1)!)^q from its binomial
+    expansion: no modular power.  The (r-1)! column gives n! mod p^k for n < p,
+    and (p-1)! mod p^2 gives G1 mod p.  Immutable after construction."""
 
     def __init__(self, ctx: ModulusContext):
         self.ctx = ctx
@@ -48,6 +53,7 @@ class GammaEvaluator:
             fact = fact * r % modulus
         self._coeffs = tuple(coeffs)
         self._block = fact  # (p-1)!
+        self._s = fact + 1  # s = (p-1)! + 1, a multiple of p
 
     def factorial(self, n: int) -> int:
         """n! mod p^k for 0 <= n < p."""
@@ -63,9 +69,10 @@ class GammaEvaluator:
             raise ValueError(f"argument {m} outside [0, {modulus})")
         q, r = divmod(m, self.ctx.p)
         a, b, c = self._coeffs[r]
-        qp = m - r
-        prod = pow(self._block, q, modulus) * (a + qp * (b + qp * c)) % modulus
-        return prod if m % 2 == 0 else modulus - prod
+        qp, qs = m - r, q * self._s
+        # (-1)^q ((p-1)!)^q = 1 - q s + C(q, 2) s^2, and q (q-1) is even
+        prod = (1 - qs + qs * (qs - self._s) // 2) * (a + qp * (b + qp * c)) % modulus
+        return modulus - prod if r & 1 else prod
 
     def g1(self, r: int) -> int:
         """G1 = Gamma_p'/Gamma_p mod p at any x = r (mod p): G1(1) + H_{(r-1) mod p}, with
@@ -73,7 +80,7 @@ class GammaEvaluator:
         p = self.ctx.p
         if self.ctx.k < 2:
             raise ValueError(f"G1 needs (p-1)! mod p^2, not mod p^{self.ctx.k}")
-        return (harmonic_mod((r - 1) % p, p) - (self._block + 1) // p) % p
+        return (_harmonic_table(p)[(r - 1) % p] - self._s // p) % p
 
     def gamma_p(self, x: RationalLike) -> Residue:
         """Gamma_p(x) mod p^k for a p-adic integer x."""

@@ -372,6 +372,16 @@ def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_
     assert FAIL in verdicts and PASS not in verdicts
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_prime_task_parameter_column_is_the_sorted_default_set(seed):
+    # _scan_prime sorts only the sampled and named parameters and merges them
+    # into 0..p-1 by floor: negatives go first, fractions above p last
+    for p in sieve_primes(5, 199):
+        [(_, text, _)] = cli._scan_prime((p, ("TRACE_C15",), None, seed, None, "jsonl"))
+        column = [Fraction(row["a_num"], row["a_den"]) for row in map(json.loads, text.splitlines())]
+        assert column == sorted(default_parameters(p, seed)), (p, seed)
+
+
 def _full_key(row: dict) -> tuple:
     # the report order: statement, then prime, then parameter (records without one first)
     a = None if row["a_num"] is None else Fraction(row["a_num"], row["a_den"])

@@ -216,18 +216,21 @@ def test_one_corrupted_table_entry_fails_its_statements(monkeypatch, which, r, f
     # the right sides never read them: v filled as u^2 would make THM3_A6
     # compare a number with itself, and a TRACE_C9 right side from u would
     # pass with u.  One entry off by one must fail exactly its readers.
+    import copy
+
     from supercong import hyperseries
 
-    p, tables = 13, hyperseries._tables
+    p, kernels = 13, hyperseries._kernel
 
-    def corrupted(q, k):
-        out = list(tables(q, k))
-        if (q, k) == (p, 2):
-            rows, values = out[which]
-            out[which] = rows, values[:r] + ((values[r] + 1) % q**k,) + values[r + 1 :]
-        return tuple(out)
+    def corrupted(q, k, kernel_index):
+        kernel = kernels(q, k, kernel_index)
+        if (q, k, kernel_index) == (p, 2, which):
+            kernel = copy.copy(kernel)
+            values = kernel.values
+            kernel.values = values[:r] + ((values[r] + 1) % q**k,) + values[r + 1 :]
+        return kernel
 
-    monkeypatch.setattr(hyperseries, "_tables", corrupted)
+    monkeypatch.setattr(hyperseries, "_kernel", corrupted)
     theorems = [s for s, st in STATEMENTS.items() if st.kind == "theorem"]
     checker = StatementChecker(p)
     for x in range(p):

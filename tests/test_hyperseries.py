@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -359,7 +360,7 @@ def _oracles(a, ctx):
 def test_integer_tables_match_term_by_term_series(p):
     for k in (1, 2, 3):
         ctx = ModulusContext(p, k)
-        (_, u), (_, v) = hyperseries._tables(p, k)
+        u, v = (hyperseries._kernel(p, k, which).values for which in (0, 1))
         assert len(u) == len(v) == p
         for r in range(p):
             f2, f3 = _oracles(Fraction(r), ctx)
@@ -383,27 +384,60 @@ def test_lifts_below_p_that_are_not_integers(p):
         assert (series_2f1_half(a, ctx, x), series_3f2_one(a, ctx, x)) == (f2, f3), (p, k, a)
 
 
-@pytest.mark.parametrize("p", [5, 7, 13, 31])
-def test_integers_outside_the_table_take_the_loop(p, monkeypatch):
-    # Integers outside [0, p) lift below p only at k = 1.  At k >= 2 they run
-    # the term loop: with every table value poisoned they still match the
-    # oracle, while a lift below p does read the (poisoned) table.
-    integers = (p, -1, -p, p + 1, 2 * p - 1, -2, -p - 3)
-    ctx = ModulusContext(p, 1)
-    for a in integers:
-        assert (series_2f1_half(a, ctx), series_3f2_one(a, ctx)) == _oracles(Fraction(a), ctx), (p, a)
-    tables = hyperseries._tables
+def _fresh_kernels(p, k):
+    # the 2F1 and 3F2 kernels of (p, k), with no loop run and no column built
+    hyperseries._kernel.cache_clear()
+    return hyperseries._kernel(p, k, 0), hyperseries._kernel(p, k, 1)
 
-    def poisoned(q, k):
-        (rows2, u), (rows3, v) = tables(q, k)
-        return (rows2, (None,) * len(u)), (rows3, (None,) * len(v))
 
-    monkeypatch.setattr(hyperseries, "_tables", poisoned)
-    for k in (2, 3):
-        ctx = ModulusContext(p, k)
-        for a in integers:
-            assert reduce_rational(a, ctx).value >= p
-            expected = _oracles(Fraction(a), ctx)
-            assert (series_2f1_half(a, ctx), series_3f2_one(a, ctx)) == expected, (p, k, a)
-        with pytest.raises(TypeError):
-            series_3f2_one(p**k + 3, ctx)
+@pytest.mark.parametrize("p", sieve_primes(5, 31))
+def test_columns_match_the_term_loop(p, monkeypatch):
+    # Every lift x in [0, p^k), both kernels, k = 1, 2, 3: the table below p,
+    # the columns above it (mod p^3 after the term loop has run more than k
+    # times) must each give what the term loop gives.  At k = 1 every lift is
+    # below p; the 2F1 mod p^3 never builds columns, the other kernels of k = 2, 3 do.
+    for k in (1, 2, 3):
+        for kernel in _fresh_kernels(p, k):
+            assert [kernel.at(x) for x in range(p**k)] == [kernel.loop(x) for x in range(p**k)], (p, k)
+            assert (kernel.columns is not None) == (k > 1 and not (k == 3 and kernel.exponent == 1)), (p, k)
+    # Poisoned columns: the 3F2 mod p^3 reads them and fails, the 2F1 mod p^3 takes the loop and does not.
+    monkeypatch.setattr(hyperseries._Kernel, "_differences", lambda self: [(1,) * p] * self.k)
+    f2, f3 = _fresh_kernels(p, 3)
+    lifts = range(p, p**3, 7)
+    assert [f2.at(x) for x in lifts] == [f2.loop(x) for x in lifts]
+    assert [f3.at(x) for x in lifts] != [f3.loop(x) for x in lifts]
+    assert f2.columns is None and f3.columns is not None
+
+
+def test_columns_are_built_lazily(monkeypatch):
+    # Mod p^2 the reflection S(x) = S(-1-x) gives the columns from the integer
+    # table alone: no term loop and no recurrence column.  Mod p^3 the 3F2 also
+    # needs column 1, two term loops and p recurrence steps: it builds it only
+    # after it has run its loop more than k = 3 times at (p, 3), and once.
+    from supercong import cli
+    from supercong.congruences import STATEMENTS, StatementChecker
+
+    built = Counter()
+    column = hyperseries._Kernel.column
+
+    def counted(kernel, d):
+        if d:  # column 0 is the integer table, which every kernel builds
+            built[kernel.p, kernel.k, kernel.exponent, d] += 1
+        return column(kernel, d)
+
+    monkeypatch.setattr(hyperseries._Kernel, "column", counted)
+    hyperseries._kernel.cache_clear()
+    for p in sieve_primes(5, 97):  # CONJ_S1..S3: one point each per prime, three 3F2 loops mod p^3
+        checker = StatementChecker(p)
+        for stmt in ("CONJ_S1", "CONJ_S2", "CONJ_S3"):
+            checker.check(stmt)
+        assert hyperseries._kernel(p, 3, 1).loops == 3
+    assert not built
+    theorems = tuple(s for s, st in STATEMENTS.items() if st.kind == "theorem")
+    for p in (13, 61):
+        cli._scan_prime((p, theorems, None, 0, None, "jsonl"))
+        kernels = [hyperseries._kernel(p, 2, which) for which in (0, 1)]
+        assert [(kernel.loops, kernel.columns is None) for kernel in kernels] == [(0, False)] * 2
+        cli._scan_prime((p, ("CONJ_S4",), None, 0, None, "jsonl"))
+        assert hyperseries._kernel(p, 3, 1).loops == 4
+        assert {key: n for key, n in built.items() if key[0] == p} == {(p, 3, 2, 1): 1}
