@@ -106,19 +106,17 @@ def _gamma_pair(chk: StatementChecker, x: int, k: int) -> int:
 
 # Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
 # whose lift x mod p^k meets the hypothesis.  Series are cached per kernel
-# object and a, the Gamma side works on x, and r = x mod p; values that
-# depend only on (k, x) or (k, r) are computed once per checker.  Each sides
+# object and a, the Gamma side works on x, and r = x mod p; the Gamma pair
+# that depends only on (k, x) is computed once per checker.  Each sides
 # function looks the kernels up as module globals when it runs, so that a
 # kernel patched by name (tracing, tests) is the one every statement reads.
 
 
 def _thm1_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
-    # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2); the factor free of a once per k
+    # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
     m = chk.p**k
-    free_of_a = chk._free_of_a.get(k)
-    if free_of_a is None:
-        free_of_a = chk._free_of_a[k] = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2) % m
-    return chk.series(series_2f1_half, a, k), free_of_a * _gamma_pair(chk, x, k) % m
+    rhs = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2) * _gamma_pair(chk, x, k) % m
+    return chk.series(series_2f1_half, a, k), rhs
 
 
 def _thm2_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
@@ -142,18 +140,12 @@ def _lemma_b5_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple
 
 def _trace_c9_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
     # The 2F1 against its closed form with first-order p-correction.
-    p, m = chk.p, chk.p**k
+    p, m, ev, h = chk.p, chk.p**k, chk.gamma(k), _harmonic_table(chk.p)
     r = x % p
-    base = chk._c9.get((k, r))
-    if base is None:
-        # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
-        ev, h = chk.gamma(k), _harmonic_table(p)
-        binomial = ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
-        hdiff = (h[(p - r - 1) // 2] - h[r // 2]) * ((p + 1) // 2) % p  # halved, mod p
-        base = chk._c9[k, r] = (binomial * pow(-1, r // 2, m) % m, hdiff)
-    binomial, hdiff = base
+    # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
+    binomial = pow(-1, r // 2, m) * ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
     d = (x - r) // p  # the shift quotient (a - r)/p, read mod p; 0 at k = 1, where p w vanishes mod p anyway
-    w = d * hdiff % p
+    w = d * (h[(p - r - 1) // 2] - h[r // 2]) * ((p + 1) // 2) % p  # times the halved harmonic difference
     return chk.series(series_2f1_half, a, k), binomial * (1 + w * p) % m
 
 
@@ -209,8 +201,8 @@ class StatementChecker:
     and reused.  Each parameter is lifted mod p^k once per k: the lift gives
     the p-adic hypothesis, the least residue r = x mod p and every Gamma-side
     value, and each truncated series is evaluated once per (k, a) whichever
-    statements read it.  So is each Gamma-side value that depends only on
-    (k, x) or (k, r), such as the pair Gamma_p(-a/2) Gamma_p((a+1)/2).
+    statements read it.  So is the Gamma pair Gamma_p(-a/2) Gamma_p((a+1)/2)
+    per (k, x).
     """
 
     def __init__(self, p: int):
@@ -221,8 +213,6 @@ class StatementChecker:
         self._lifts: dict[tuple[int, int, int], int | None] = {}
         self._series: dict[tuple, int] = {}
         self._pairs: dict[tuple[int, int], int] = {}  # (k, x) -> Gamma_p(-a/2) Gamma_p((a+1)/2)
-        self._free_of_a: dict[int, int] = {}  # k -> THM1_A4's (-1)^((p+1)/2) Gamma_p(1/2)
-        self._c9: dict[tuple[int, int], tuple[int, int]] = {}  # (k, r) -> TRACE_C9's closed form and H term
 
     def gamma(self, k: int) -> GammaEvaluator:
         if k not in self._gamma:
@@ -252,11 +242,13 @@ class StatementChecker:
 
         Hypothesis failures (parity, p dividing a denominator) are reported
         as SKIPPED.  ``power`` overrides the catalog modulus power, for
-        exploratory runs only.
+        exploratory runs only; a power outside 1..3 raises ValueError.
         """
         _, k, _, parity, takes_param, sides, fixed_power = STATEMENTS[stmt_id]
-        if power is not None and not fixed_power:
-            k = power
+        if power is not None:
+            self.gamma(power)  # refuses a power outside 1..3, by ModulusContext's rule
+            if not fixed_power:
+                k = power
         p = self.p
         x = None
         if takes_param:
@@ -264,9 +256,7 @@ class StatementChecker:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
             if not isinstance(a, Fraction):  # API callers pass ints
                 a = Fraction(a)
-            x = self._lifts.get((k, a.numerator, a.denominator), -1)  # the lift's cache, read inline
-            if x == -1:
-                x = self.lift(a, k)
+            x = self.lift(a, k)
             if x is None:
                 return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
             if parity is not None and (x % p % 2 == 0) != (parity == "even"):

@@ -93,8 +93,6 @@ class Residue(namedtuple("Residue", "value ctx")):
 
 def _lift(num: int, den: int, p: int, modulus: int) -> int | None:
     """num/den mod p^k in [0, p^k), or None when p divides den: the one reduction of the package."""
-    if den == 1:  # most scan parameters are the integers 0..p-1
-        return num % modulus
     return None if den % p == 0 else num * pow(den, -1, modulus) % modulus
 
 
@@ -112,8 +110,8 @@ def reduce_rational(a: RationalLike, ctx: ModulusContext) -> Residue:
 
 
 def least_residue(a: RationalLike, p: int) -> int:
-    """The least non-negative integer r < p with a = r (mod p)."""
-    return _lift_p_adic(a, p, p)
+    """The least non-negative integer r < p with a = r (mod p), for a prime p >= 5."""
+    return _lift_p_adic(a, p, ModulusContext(p, 1).modulus)  # refuses a p that is not a prime >= 5
 
 
 @lru_cache(maxsize=1)
@@ -123,7 +121,8 @@ def _harmonic_table(p: int) -> tuple[int, ...]:
 
 
 def harmonic_mod(n: int, p: int) -> int:
-    """H_n = sum_{j=1..n} 1/j reduced mod p, for 0 <= n < p."""
+    """H_n = sum_{j=1..n} 1/j reduced mod p, for a prime p >= 5 and 0 <= n < p."""
+    ModulusContext(p, 1)  # refuses a p that is not a prime >= 5
     if not 0 <= n < p:
         raise IndexOutOfRange(f"harmonic index {n} outside [0, {p})")
     return _harmonic_table(p)[n]

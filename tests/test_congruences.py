@@ -255,9 +255,10 @@ def _harmonic_brute(n: int, p: int) -> int:
 def test_gamma_sides_against_direct_product_oracle(p):
     # Every Gamma-side value of the checker, and the public g1, against Gamma_p
     # from its defining product, Gamma arguments built as Fractions, and
-    # harmonic numbers summed term by term.
+    # harmonic numbers summed term by term.  THM1_A4 and TRACE_C9 are read at
+    # every power, the oracle lifted mod p, p^2 and p^3.
     m2, m3 = p**2, p**3
-    table = {k: gamma_oracle_table(range(p**k), p, p**k) for k in (2, 3)}
+    table = {k: gamma_oracle_table(range(p**k), p, p**k) for k in (1, 2, 3)}
 
     def gamma(x: Fraction, k: int) -> int:
         return table[k][_lift(x, p**k)]
@@ -276,16 +277,19 @@ def test_gamma_sides_against_direct_product_oracle(p):
         assert g1(a, p) == g1_oracle(a)
         if r % 2:
             continue
-        pair = {k: gamma(-a / 2, k) * gamma((a + 1) / 2, k) for k in (2, 3)}
-        thm1 = sign * gamma(Fraction(1, 2), 2) * pair[2] % m2
-        thm2 = sign * pair[2] ** 2 % m2
-        assert checker.check("THM1_A4", a).rhs == thm1, a
-        assert checker.check("THM2_A5", a).rhs == thm2, a
+        pair = {k: gamma(-a / 2, k) * gamma((a + 1) / 2, k) for k in (1, 2, 3)}
+        assert checker.check("THM1_A4", a).rhs == sign * gamma(Fraction(1, 2), 2) * pair[2] % m2, a
+        assert checker.check("THM2_A5", a).rhs == sign * pair[2] ** 2 % m2, a
         assert checker.check("CONJ_S4", a).rhs == sign * pair[3] ** 2 % m3, a
         hdiff = _harmonic_brute((p - r - 1) // 2, p) - _harmonic_brute(r // 2, p)
         shift = _lift((a - r) / p, p)  # (a - <a>_p)/p mod p
-        c9 = comb(r, r // 2) * Fraction(-1, 4) ** (r // 2) * (1 + p * Fraction(shift * hdiff, 2))
+        w = _lift(Fraction(shift * hdiff, 2), p)  # the first-order term, read mod p
+        c9 = comb(r, r // 2) * Fraction(-1, 4) ** (r // 2) * (1 + p * w)
         assert checker.check("TRACE_C9", a).rhs == _lift(c9, m2), a
+        for k in (1, 2, 3):
+            thm1 = sign * gamma(Fraction(1, 2), k) * pair[k] % p**k
+            assert checker.check("THM1_A4", a, power=k).rhs == thm1, (a, k)
+            assert checker.check("TRACE_C9", a, power=k).rhs == _lift(c9, p**k), (a, k)
         c15 = (hdiff + g1_oracle(-a / 2) - g1_oracle((a + 1) / 2)) % p
         assert _sides(checker.check("TRACE_C15", a)) == (c15, 0), a
 
@@ -436,6 +440,12 @@ def test_power_override():
     weak, full = checker.check("TRACE_C9", a, power=1), checker.check("TRACE_C9", a)
     assert (weak.k, full.k) == (1, 2)
     assert (weak.lhs, weak.rhs) == (full.lhs % 13, full.rhs % 13)
+    # a power outside 1..3 is refused before the lift, for every row: THM1_A4 at a = 1 gave a parity SKIPPED
+    # with k = 4, SUN_A2 one with k = 0
+    for stmt, a, power in (("THM1_A4", 1, 4), ("THM1_A4", 2, 4), ("SUN_A2", 2, 0), ("TRACE_C15", 2, 4),
+                           ("SUN_A2", Fraction(1, 7), -1), ("CONJ_S1", None, 0)):
+        with pytest.raises(ValueError, match=f"exponent k must be 1, 2 or 3, got {power}"):
+            StatementChecker(7).check(stmt, a, power)
 
 
 def test_record_serialization():

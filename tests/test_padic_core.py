@@ -126,6 +126,10 @@ def test_least_residue_examples():
     assert least_residue(Fraction(-1, 3), 7) == 2
     assert least_residue(Fraction(-1, 2), 5) == 2
     assert least_residue(Fraction(-1, 2), 7) == 3
+    # a modulus that is not a prime >= 5 is refused, as by ModulusContext: -7 gave -2, 9 and 0 raised from pow
+    for a, p in ((5, -7), (Fraction(1, 3), 9), (Fraction(1, 2), 0), (1, 3), (2, 1)):
+        with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+            least_residue(a, p)
 
 
 def test_s_p_examples():
@@ -155,6 +159,10 @@ def test_harmonic_examples():
     assert harmonic_mod(0, 7) == 0
     assert harmonic_mod(4, 5) == _harmonic_oracle(4, 5) == 0
     assert harmonic_mod(2, 7) == _harmonic_oracle(2, 7) == 5
+    # a modulus that is not a prime >= 5 is refused: H_1 mod 3 read 1, H_2 mod 9 raised from pow
+    for n, p in ((1, 3), (2, 9), (0, 4), (1, -7)):
+        with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+            harmonic_mod(n, p)
 
 
 def test_harmonic_full_table_against_oracle():
