@@ -25,6 +25,7 @@ from .congruences import (
     CONJECTURE,
     FAIL,
     PASS,
+    SCALE,
     SKIPPED,
     STATEMENTS,
     StatementChecker,
@@ -218,19 +219,6 @@ def _render(
     return (first.statement, first.p or 0), text, counts
 
 
-def _sorted_defaults(p: int, seed: int) -> list[Fraction]:
-    """sorted(default_parameters(p, seed)), without sorting the integers 0..p-1 that open it:
-    the others, none an integer of [0, p), are sorted and merged in by their floors."""
-    params = default_parameters(p, seed)
-    merged, start = [], 0
-    for floor, a in sorted((a.numerator // a.denominator, a) for a in params[p:]):  # Fractions compared on ties only
-        stop = min(max(floor + 1, 0), p)  # past the integers <= a
-        merged += params[start:stop]
-        merged.append(a)
-        start = stop
-    return merged + params[start:p]
-
-
 def _scan_prime(task: tuple) -> list[tuple]:
     """The report blocks of one prime, one per statement: plain strings and
     dicts, so that a pool worker ships no record and no Fraction."""
@@ -240,8 +228,9 @@ def _scan_prime(task: tuple) -> list[tuple]:
     blocks = []
     for stmt_id in stmt_ids:
         if STATEMENTS[stmt_id].takes_param:
-            if params is None:  # ascending: each (statement, p) run of records is in report order
-                params = sorted(file_params) if file_params is not None else _sorted_defaults(p, seed)
+            if params is None:  # ascending, each (statement, p) run in report order; a * SCALE is an exact key
+                params = sorted(file_params) if file_params is not None else sorted(
+                    default_parameters(p, seed), key=lambda a: a.numerator * (SCALE // a.denominator))
                 a_texts = [_a_text(a) for a in params]
             blocks.append(_render([check(stmt_id, a, power) for a in params], fmt, a_texts))
         else:

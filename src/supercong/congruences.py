@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .padic_core import ModulusContext, RationalLike, _harmonic_table, _lift
 from .padic_gamma import GammaEvaluator
@@ -282,6 +282,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Numerator/denominator bound of the sampled fractions.
 SAMPLE_BOUND = 20
+#: A multiple of every default parameter's denominator: a * SCALE is an exact integer sort key.
+SCALE = lcm(*range(1, SAMPLE_BOUND + 1), *(a.denominator for a in NAMED_RATIONALS))
 #: Seeded fractions in each prime's default parameter set.
 SAMPLE_COUNT = 20
 

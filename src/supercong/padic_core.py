@@ -130,6 +130,6 @@ def harmonic_mod(n: int, p: int) -> int:
 
 @lru_cache(maxsize=3)
 def unit_inverse_table(p: int, k: int) -> tuple[int, ...]:
-    """Inverses of 1..p-1 mod p^k (index 0 unused); shared by series loops, cached for one prime's k = 1..3."""
+    """Inverses of 1..p-1 mod p^k (index 0 unused), read by the series kernels and _harmonic_table; one prime cached."""
     m = p**k
     return (0,) + tuple(pow(j, -1, m) for j in range(1, p))

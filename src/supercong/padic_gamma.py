@@ -4,12 +4,13 @@ For a non-negative integer m, Gamma_p(m) = (-1)^m F(m) with F(m) the product of
 the j in (0, m) coprime to p.  Gamma_p is 1-Lipschitz, so any m = x (mod p^k)
 gives Gamma_p(x) mod p^k for a p-adic integer x; values are units of Z/p^k.
 
-F(m) is evaluated in closed form.  Expanding prod_{j<r} (qp + j) in powers of
-qp gives (r-1)! (1 + qp H_{r-1} + (qp)^2 e2_{r-1}) mod p^3, with H_n and e2_n
-the first and second elementary symmetric sums of 1/1, ..., 1/n.  For p >= 5,
-Wolstenholme's theorem gives H_{p-1} = 0 mod p^2 and e2_{p-1} = 0 mod p, so
-every full block of p - 1 factors is (p-1)! mod p^3 and, for m = qp + r with
-0 <= r < p (the partial block is 1 when r = 0),
+F(m) is evaluated in closed form.  The product prod_{0<j<r} (X + j) truncated
+mod X^3 is (r-1)! (1 + X H_{r-1} + X^2 e2_{r-1}), with H_n and e2_n the first and
+second elementary symmetric sums of 1/1, ..., 1/n; at X = qp it is the partial
+block prod_{0<j<r} (qp + j) mod p^3.  For p >= 5, Wolstenholme's theorem gives
+H_{p-1} = 0 mod p^2 and e2_{p-1} = 0 mod p, so every full block of p - 1 factors
+is (p-1)! mod p^3 and, for m = qp + r with 0 <= r < p (the partial block is 1
+when r = 0),
 
     F(m) = ((p-1)!)^q (r-1)! (1 + qp H_{r-1} + (qp)^2 e2_{r-1})  (mod p^3).
 
@@ -29,38 +30,34 @@ from .padic_core import (
     _harmonic_table,
     least_residue,
     reduce_rational,
-    unit_inverse_table,
 )
 
 
 class GammaEvaluator:
-    """Gamma_p mod p^k by the block formula: O(p) tables of (r-1)! times
-    (1, H_{r-1}, e2_{r-1}) mod p^k, one per residue r (and (1, 0, 0) for r = 0),
-    then a few multiplications per call, with ((p-1)!)^q from its binomial
-    expansion: no modular power.  The (r-1)! column gives n! mod p^k for n < p,
-    and (p-1)! mod p^2 gives G1 mod p.  Immutable after construction."""
+    """Gamma_p mod p^k by the block formula: one row per residue r, the coefficients
+    of prod_{0<j<r} (X + j) mod (X^3, p^k), each row the last times X + r - 1
+    ((1, 0, 0) for r = 0); then a few multiplications per call, with ((p-1)!)^q
+    from its binomial expansion: no modular power and no inverse.  The first
+    column gives n! mod p^k for n < p, up to row p's (p-1)!, and (p-1)! mod p^2
+    gives G1 mod p.  Immutable after construction."""
 
     def __init__(self, ctx: ModulusContext):
         self.ctx = ctx
         p, modulus = ctx.p, ctx.modulus
-        inverse = unit_inverse_table(p, ctx.k)
-        fact, harmonic, e2 = 1, 0, 0  # (r-1)!, H_{r-1}, e2_{r-1}
-        coeffs = [(1, 0, 0)]
-        for r in range(1, p):
-            coeffs.append((fact, fact * harmonic % modulus, fact * e2 % modulus))
-            e2 = (e2 + harmonic * inverse[r]) % modulus
-            harmonic = (harmonic + inverse[r]) % modulus
-            fact = fact * r % modulus
-        self._coeffs = tuple(coeffs)
-        self._block = fact  # (p-1)!
-        self._s = fact + 1  # s = (p-1)! + 1, a multiple of p
+        c0, c1, c2 = 1, 0, 0  # prod_{0<j<r} (X + j) mod X^3, from the empty product at r = 1
+        coeffs = [(1, 0, 0)]  # r = 0: no partial block
+        for r in range(1, p + 1):
+            coeffs.append((c0, c1, c2))
+            c0, c1, c2 = c0 * r % modulus, (c1 * r + c0) % modulus, (c2 * r + c1) % modulus
+        self._coeffs = tuple(coeffs)  # row p starts with (p-1)!
+        self._s = coeffs[p][0] + 1  # s = (p-1)! + 1, a multiple of p
 
     def factorial(self, n: int) -> int:
         """n! mod p^k for 0 <= n < p."""
         p = self.ctx.p
         if not 0 <= n < p:
             raise ValueError(f"factorial index {n} outside [0, {p})")
-        return self._block if n == p - 1 else self._coeffs[n + 1][0]
+        return self._coeffs[n + 1][0]
 
     def gamma_at(self, m: int) -> int:
         """Gamma_p at the non-negative integer m, as an int in [0, modulus)."""

@@ -38,6 +38,7 @@ from supercong.congruences import (
     CONJECTURE,
     FAIL,
     PASS,
+    SCALE,
     SKIPPED,
     STATEMENTS,
     ReportRecord,
@@ -374,9 +375,10 @@ def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_
 
 @pytest.mark.parametrize("seed", range(4))
 def test_prime_task_parameter_column_is_the_sorted_default_set(seed):
-    # _scan_prime sorts only the sampled and named parameters and merges them
-    # into 0..p-1 by floor: negatives go first, fractions above p last
-    for p in sieve_primes(5, 199):
+    # _scan_prime sorts the defaults by the integer key a * SCALE, which orders them
+    # as Fractions only while SCALE is a multiple of every default denominator
+    for p in sieve_primes(5, 997):
+        assert all(SCALE % a.denominator == 0 for a in default_parameters(p, seed)), (p, seed)
         [(_, text, _)] = cli._scan_prime((p, ("TRACE_C15",), None, seed, None, "jsonl"))
         column = [Fraction(row["a_num"], row["a_den"]) for row in map(json.loads, text.splitlines())]
         assert column == sorted(default_parameters(p, seed)), (p, seed)
@@ -628,19 +630,22 @@ def test_behaviour_gate_report_hash(tmp_path, jobs):
 @pytest.mark.parametrize(
     "argv, name, lines, digest",
     [
-        (["--statements", "theorems", "--primes", "5..199"], "thm.jsonl", 42224,
+        (["--statements", "theorems", "--primes", "5..199", "--seed", "0"], "thm.jsonl", 42224,
          "0c93a10f57442a281af5d6a1b4810520941b3e8f2d3a2dabe53db587d19ff449"),
-        (["--statements", "conjectures", "--primes", "5..199"], "conj.jsonl", 5410,
+        (["--statements", "conjectures", "--primes", "5..199", "--seed", "0"], "conj.jsonl", 5410,
          "4849c4c2af267cceeff995c6bad554c1e5059f96d2bd04249cd02684dffc0d65"),
-        (["--statements", "all", "--primes", "5..61", "--format", "csv"], "all.csv", 8326,
+        (["--statements", "all", "--primes", "5..61", "--format", "csv", "--seed", "0"], "all.csv", 8326,
          "24ad2248f7457db6d5af65e6501cc338d96f4de03bf527fb58c21e5856c73db5"),
+        (["--statements", "theorems", "--primes", "5..199", "--seed", "7"], "thm7.jsonl", 42224,
+         "fe8ec49b560261c1b062be9d07863a31a96eb9d837b62d89273579b9607c5c0e"),
     ],
-    ids=["theorems", "conjectures", "all-csv"],
+    ids=["theorems", "conjectures", "all-csv", "theorems-seed7"],
 )
 def test_frozen_scan_report_hashes(tmp_path, argv, name, lines, digest):
-    # the benchmark's theorem and conjecture scans, and a CSV report of the whole catalog
+    # the benchmark's theorem and conjecture scans, a CSV report of the whole catalog,
+    # and the theorem scan at a seed other than 0, which samples other fractions
     out = tmp_path / name
-    assert main(argv + ["--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
     report = out.read_bytes()
     assert report.count(b"\n") == lines
     assert hashlib.sha256(report).hexdigest() == digest
