@@ -184,9 +184,9 @@ def _render(
     """One block of the report from a run of records that share statement, p
     and k, in report order: its sort key (statement, p, with 0 for no p), its
     report text and its verdict counts.  Each JSONL line is byte-equal to
-    json.dumps(record.to_dict()); statement, p and k are rendered once, int
-    sides are formatted directly, and ``a_texts``, if given, holds each
-    record's _a_text, which a prime's runs share."""
+    json.dumps(record.to_dict()); statement, p and k are rendered once, a
+    line with int sides and no skip reason is one f-string, and ``a_texts``,
+    if given, holds each record's _a_text, which a prime's runs share."""
     first = records[0]
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     if fmt == "csv":
@@ -203,13 +203,17 @@ def _render(
         ends: dict = {}  # (verdict, skip reason) -> the end of the line
         lines = []
         for r, a_text in zip(records, a_texts or [_a_text(r.a) for r in records]):
-            counts[r.verdict] += 1
-            end = ends.get((r.verdict, r.skip_reason))
+            verdict, lhs, rhs = r.verdict, r.lhs, r.rhs
+            counts[verdict] += 1
+            if lhs.__class__ is int and rhs.__class__ is int and r.skip_reason is None:
+                lines.append(f'{head}{a_text}"lhs": {lhs}, "rhs": {rhs}, "verdict": "{verdict}", '
+                             f'"skip_reason": null}}\n')
+                continue
+            end = ends.get((verdict, r.skip_reason))
             if end is None:
-                end = ends[r.verdict, r.skip_reason] = (
-                    f'"verdict": {json.dumps(r.verdict)}, "skip_reason": {_json(r.skip_reason)}}}\n'
+                end = ends[verdict, r.skip_reason] = (
+                    f'"verdict": {json.dumps(verdict)}, "skip_reason": {_json(r.skip_reason)}}}\n'
                 )
-            lhs, rhs = r.lhs, r.rhs
             if lhs.__class__ is not int:
                 lhs = _json(lhs)
             if rhs.__class__ is not int:
@@ -223,15 +227,16 @@ def _scan_prime(task: tuple) -> list[tuple]:
     """The report blocks of one prime, one per statement: plain strings and
     dicts, so that a pool worker ships no record and no Fraction."""
     p, stmt_ids, file_params, seed, power, fmt = task
-    check = StatementChecker(p).check
     params = a_texts = None
+    if any(STATEMENTS[stmt_id].takes_param for stmt_id in stmt_ids):
+        # ascending, each (statement, p) run in report order; a * SCALE is an exact key
+        params = sorted(file_params) if file_params is not None else sorted(
+            default_parameters(p, seed), key=lambda a: a.numerator * (SCALE // a.denominator))
+        a_texts = [_a_text(a) for a in params]
+    check = StatementChecker(p, params).check  # the column: each statement is evaluated over it at once
     blocks = []
     for stmt_id in stmt_ids:
         if STATEMENTS[stmt_id].takes_param:
-            if params is None:  # ascending, each (statement, p) run in report order; a * SCALE is an exact key
-                params = sorted(file_params) if file_params is not None else sorted(
-                    default_parameters(p, seed), key=lambda a: a.numerator * (SCALE // a.denominator))
-                a_texts = [_a_text(a) for a in params]
             blocks.append(_render([check(stmt_id, a, power) for a in params], fmt, a_texts))
         else:
             blocks.append(_render([check(stmt_id, None, power)], fmt))
@@ -308,14 +313,22 @@ def collect_records(config: ScanConfig, spool) -> list[tuple]:
 
 
 def write_records(blocks: list[tuple], fmt: str, stream, spool) -> None:
-    """Copy the indexed blocks out of the spool to the text stream, in index order."""
+    """Copy the indexed blocks out of the spool to the text stream, in index order: the spool's
+    UTF-8 bytes go to the stream's binary buffer, after its text layer is flushed; only a stream
+    without one (io.StringIO) gets them decoded."""
     # Write block by block: with the whole report in one write, a reader that
     # closed the pipe early went unnoticed and the scan exited 0.
     if fmt == "csv":
         stream.write("statement,p,k,a_num,a_den,lhs,rhs,verdict,skip_reason\n")
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        write = lambda data: stream.write(data.decode())  # noqa: E731
+    else:
+        stream.flush()
+        write = buffer.write
     for _, (offset, length), _ in blocks:
         spool.seek(offset)
-        stream.write(spool.read(length).decode())
+        write(spool.read(length))
 
 
 def summarize(blocks: list[tuple]) -> str:

@@ -3,7 +3,9 @@
 Each catalog entry knows its comparison modulus p^k and its hypothesis on
 (p, a); checking evaluates both sides in Z/p^k and compares exactly.  Unmet
 hypotheses (wrong parity of the least residue, or a parameter that is not a
-p-adic integer at p) yield SKIPPED, never FAIL.
+p-adic integer at p) yield SKIPPED, never FAIL.  A statement is evaluated
+over a column of parameters at once: a prime's whole parameter set in a scan,
+a column of one for any other parameter.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ class Statement(
 ):
     """Catalog entry: modulus power, statement class (THEOREM or CONJECTURE),
     the required parity "even" or "odd" of least_residue(a, p) or None,
-    whether it takes a parameter a, and ``sides(checker, a, x, k)``, the
-    (lhs, rhs) pair mod p^k from a and its lift x = a mod p^k (None without a
-    parameter).  With ``fixed_power`` the statement is checked mod p^power
-    whatever --power says.  ``_replace`` gives a changed copy."""
+    whether it takes a parameter a, and ``sides(checker, at, xs, k)``, the
+    lists (lhs, rhs) mod p^k at the positions ``at`` of the checker's column,
+    those whose lifts ``xs`` (x = a mod p^k) meet the hypothesis; without a
+    parameter the column holds None alone, at = [0] and xs = [None].
+    With ``fixed_power`` the statement is checked mod p^power whatever
+    --power says.  ``_replace`` gives a changed copy."""
 
     __slots__ = ()
 
@@ -93,82 +97,94 @@ class ReportRecord:
         }
 
 
-def _gamma_pair(chk: StatementChecker, x: int, k: int) -> int:
-    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k from the lift x of a, computed once per (k, x)."""
-    g = chk._pairs.get((k, x))
-    if g is None:
-        ev = chk.gamma(k)
-        m = ev.ctx.modulus
-        half = (m + 1) // 2  # 2^-1 mod p^k
-        g = chk._pairs[k, x] = ev.gamma_at(-x * half % m) * ev.gamma_at((x + 1) * half % m) % m
-    return g
+def _gamma_pairs(chk: StatementChecker, xs: list[int], k: int) -> list[int]:
+    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k at each lift x of xs."""
+    ev = chk.gamma(k)
+    m = ev.ctx.modulus
+    half = (m + 1) // 2  # 2^-1 mod p^k
+    first, second = ev.gamma_values([-x * half % m for x in xs]), ev.gamma_values([(x + 1) * half % m for x in xs])
+    return [u * v % m for u, v in zip(first, second)]
 
 
-# Sides of the statements in Z/p^k, at a parameter a (None for CONJ_S1..S3)
-# whose lift x mod p^k meets the hypothesis.  Series are cached per kernel
-# object and a, the Gamma side works on x, and r = x mod p; the Gamma pair
-# that depends only on (k, x) is computed once per checker.  Each sides
-# function looks the kernels up as module globals when it runs, so that a
-# kernel patched by name (tracing, tests) is the one every statement reads.
+# Sides of the statements in Z/p^k at the positions `at` of the checker's
+# column, whose lifts xs meet the hypothesis.  Series come from chk.series,
+# once per (kernel, k, position) whichever statements read them; the Gamma
+# side works on the lifts, and r = x mod p.  Each sides function looks the
+# kernels up as module globals when it runs, so that a kernel patched by name
+# (tracing, tests) is the one every statement reads.
 
 
-def _thm1_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+def _thm1_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
     m = chk.p**k
-    rhs = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2) * _gamma_pair(chk, x, k) % m
-    return chk.series(series_2f1_half, a, k), rhs
+    c = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2)
+    return chk.series(series_2f1_half, at, k), [c * g % m for g in _gamma_pairs(chk, xs, k)]
 
 
-def _thm2_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+def _thm2_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S1..S4, mod p^3
-    g = _gamma_pair(chk, x, k)
-    return chk.series(series_3f2_one, a, k), chk._sign * g * g % chk.p**k
+    m, sign = chk.p**k, chk._sign
+    return chk.series(series_3f2_one, at, k), [sign * g * g % m for g in _gamma_pairs(chk, xs, k)]
 
 
-def _thm3_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
-    sq = chk.series(series_2f1_half, a, k)
-    return chk.series(series_3f2_one, a, k), sq * sq % chk.p**k
+def _thm3_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
+    m = chk.p**k
+    squares = [u * u % m for u in chk.series(series_2f1_half, at, k)]
+    return chk.series(series_3f2_one, at, k), squares
 
 
-def _lemma_b5_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
-    # First-order perturbation of Gamma_p one step of size p away from a.  G1 mod p
-    # needs (p-1)! mod p^2, which the evaluator at k >= 2 holds; at k = 1 its term vanishes mod p.
+def _lemma_b5_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
+    # First-order perturbation of Gamma_p one step of size p away from a, with G1(x) = G1(1) + H_{r-1} mod p.
+    # G1(1) needs (p-1)! mod p^2, which the evaluator at k >= 2 holds; at k = 1 the G1 term vanishes mod p.
     p, ev, m = chk.p, chk.gamma(k), chk.p**k
-    g1_term = ev.g1(x % p) * p if k > 1 else 0
-    return ev.gamma_at((x + p) % m), ev.gamma_at(x) * (1 + g1_term) % m
+    lhs, rhs = ev.gamma_values([(x + p) % m for x in xs]), ev.gamma_values(xs)
+    if k > 1:
+        h, g1_one = _harmonic_table(p), ev.g1(1)
+        rhs = [g * (1 + (g1_one + h[(x - 1) % p]) % p * p) % m for g, x in zip(rhs, xs)]
+    return lhs, rhs
 
 
-def _trace_c9_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+def _trace_c9_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # The 2F1 against its closed form with first-order p-correction.
-    p, m, ev, h = chk.p, chk.p**k, chk.gamma(k), _harmonic_table(chk.p)
-    r = x % p
-    # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
-    binomial = pow(-1, r // 2, m) * ev.factorial(r) * pow(ev.factorial(r // 2), -2, m) % m * pow((m + 1) // 2, r, m) % m
-    d = (x - r) // p  # the shift quotient (a - r)/p, read mod p; 0 at k = 1, where p w vanishes mod p anyway
-    w = d * (h[(p - r - 1) // 2] - h[r // 2]) * ((p + 1) // 2) % p  # times the halved harmonic difference
-    return chk.series(series_2f1_half, a, k), binomial * (1 + w * p) % m
+    p, m, factorial, h = chk.p, chk.p**k, chk.gamma(k).factorial, _harmonic_table(chk.p)
+    half, half_p = (m + 1) // 2, (p + 1) // 2  # 2^-1 mod p^k and mod p
+    rhs = []
+    for x in xs:
+        r = x % p
+        # (-1)^(r/2) C(r, r/2) / 4^(r/2) = (-1)^(r/2) r! / ((r/2)!^2 2^r): r < p, all units
+        binomial = (-1) ** (r // 2) * factorial(r) * pow(factorial(r // 2), -2, m) * pow(half, r, m) % m
+        # the shift quotient (a - r)/p, read mod p, times the halved harmonic difference; 0 at k = 1,
+        # where p w vanishes mod p anyway
+        w = (x - r) // p * (h[(p - r - 1) // 2] - h[r // 2]) * half_p % p
+        rhs.append(binomial * (1 + w * p) % m)
+    return chk.series(series_2f1_half, at, k), rhs
 
 
-def _trace_c15_sides(chk: StatementChecker, a: Fraction, x: int, k: int) -> tuple[int, int]:
+def _trace_c15_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # Harmonic/log-derivative cancellation mod p: G1(y) = G1(1) + H_{s_p(y)-1}, so the G1(1)
     # terms cancel.  The least residues s1 of -a/2 and s2 of (a+1)/2 mod p come from r alone,
     # s1 - 1 = -r/2 - 1 and s2 - 1 = (r+1)/2 - 1 mod p.
-    p, r = chk.p, x % chk.p
+    p = chk.p
     h, half = _harmonic_table(p), (p + 1) // 2  # H_0..H_{p-1} mod p, 2^-1 mod p
-    out = h[(p - r - 1) // 2] - h[r // 2] + h[(-r * half - 1) % p] - h[((r + 1) * half - 1) % p]
-    return out % p, 0
+    lhs = [
+        (h[(p - r - 1) // 2] - h[r // 2] + h[(-r * half - 1) % p] - h[((r + 1) * half - 1) % p]) % p
+        for r in [x % p for x in xs]
+    ]
+    return lhs, [0] * len(xs)
 
 
 def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
     """Sides of CONJ_S1/S2/S3: THM2_A5's at the fixed parameter a0, with the
     right side times -c p^2 when p mod n is not in ``first``: there the sign
-    is the negative of THM2_A5's (-1)^((p+1)/2)."""
+    is the negative of THM2_A5's (-1)^((p+1)/2).  a0 is read where the checker
+    holds it: in a scan's default column, at its own position."""
 
-    def sides(chk: StatementChecker, a: None, x: None, k: int) -> tuple[int, int]:
-        lhs, rhs = _thm2_sides(chk, a0, chk.lift(a0, k), k)
+    def sides(chk: StatementChecker, at: list[int], xs: list, k: int) -> tuple[list, list]:
+        owner, i = chk._entry(a0)
+        lhs, rhs = _thm2_sides(owner, [i], [owner.lifts(k)[i]], k)
         if chk.p % n in first:
             return lhs, rhs
-        return lhs, -chk.lift(c, k) * chk.p**2 * rhs % chk.p**k
+        return lhs, [-chk.lift(c, k) * chk.p**2 * rhs[0] % chk.p**k]
 
     return sides
 
@@ -176,8 +192,10 @@ def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in (
-        Statement("SUN_A2", 2, THEOREM, "odd", True, lambda chk, a, x, k: (chk.series(series_3f2_one, a, k), 0)),
-        Statement("SUN_A3", 2, THEOREM, "odd", True, lambda chk, a, x, k: (chk.series(series_2f1_half, a, k), 0)),
+        Statement("SUN_A2", 2, THEOREM, "odd", True,
+                  lambda chk, at, xs, k: (chk.series(series_3f2_one, at, k), [0] * len(at))),
+        Statement("SUN_A3", 2, THEOREM, "odd", True,
+                  lambda chk, at, xs, k: (chk.series(series_2f1_half, at, k), [0] * len(at))),
         Statement("THM1_A4", 2, THEOREM, "even", True, _thm1_sides),
         Statement("THM2_A5", 2, THEOREM, "even", True, _thm2_sides),
         Statement("THM3_A6", 2, THEOREM, None, True, _thm3_sides),
@@ -185,34 +203,44 @@ STATEMENTS: dict[str, Statement] = {
         Statement("TRACE_C9", 2, THEOREM, "even", True, _trace_c9_sides),
         # stated mod p only; harmonic and G1 data live there
         Statement("TRACE_C15", 1, THEOREM, "even", True, _trace_c15_sides, fixed_power=True),
-        Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 3), 6, (1,), Fraction(1, 18))),
-        Statement("CONJ_S2", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 4), 8, (1, 3), Fraction(3, 64))),
-        Statement("CONJ_S3", 3, CONJECTURE, None, False, _conj_sides(Fraction(-1, 6), 4, (1,), Fraction(5, 144))),
+        Statement("CONJ_S1", 3, CONJECTURE, None, False, _conj_sides(NAMED_RATIONALS[1], 6, (1,), Fraction(1, 18))),
+        Statement("CONJ_S2", 3, CONJECTURE, None, False, _conj_sides(NAMED_RATIONALS[2], 8, (1, 3), Fraction(3, 64))),
+        Statement("CONJ_S3", 3, CONJECTURE, None, False, _conj_sides(NAMED_RATIONALS[3], 4, (1,), Fraction(5, 144))),
         Statement("CONJ_S4", 3, CONJECTURE, "even", True, _thm2_sides),
     )
 }
 
 
 class StatementChecker:
-    """Per-prime verdict engine owning the caches statement checks share.
+    """Per-prime verdict engine over a column of parameters.
 
-    One instance serves every statement and parameter at its prime; Gamma
-    evaluators, which carry the contexts, are created per power on first use
-    and reused.  Each parameter is lifted mod p^k once per k: the lift gives
-    the p-adic hypothesis, the least residue r = x mod p and every Gamma-side
-    value, and each truncated series is evaluated once per (k, a) whichever
-    statements read it.  So is the Gamma pair Gamma_p(-a/2) Gamma_p((a+1)/2)
-    per (k, x).
+    ``params``, a scan's sorted parameter set at p, is the checker's column.
+    The first ``check`` of a statement at a power evaluates it over the whole
+    column in one pass: the lifts mod p^k, one list per k that every
+    statement shares; the hypothesis as a mask over them; then the
+    statement's sides at the positions that meet it, each series value
+    computed once per (kernel, k, position) whichever statements read it,
+    and never at a skipped position.  Every later ``check`` of that statement
+    and power returns the record at the parameter's position, found by
+    identity with the column's object.  Any other parameter is evaluated the
+    same way by a checker of one, kept per value; a statement without a
+    parameter is evaluated at each check, on a column that holds None alone.
+    Gamma evaluators, which carry the contexts, are created per power on
+    first use and shared with the checkers of one.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, params: list[Fraction] | None = None):
         ModulusContext(p, 1)  # refuses a p that is not a prime >= 5
         self.p = p
         self._sign = -1 if p % 4 == 1 else 1  # (-1)^((p+1)/2)
         self._gamma: dict[int, GammaEvaluator] = {}
-        self._lifts: dict[tuple[int, int, int], int | None] = {}
-        self._series: dict[tuple, int] = {}
-        self._pairs: dict[tuple[int, int], int] = {}  # (k, x) -> Gamma_p(-a/2) Gamma_p((a+1)/2)
+        self.params = list(params or ())
+        self._where = {id(a): i for i, a in enumerate(self.params)}  # the column's objects, by identity
+        self._values: dict[Fraction, int] | None = None  # the column's values, on the first other object
+        self._ones: dict[Fraction, StatementChecker] = {}  # a checker of one per value outside it
+        self._lifts: dict[int, list[int | None]] = {}  # k -> the column's lifts
+        self._series: dict[tuple, list[int | None]] = {}  # (kernel, k) -> values at the positions read
+        self._records: dict[tuple, list[ReportRecord]] = {}  # (statement with a parameter, power) -> records
 
     def gamma(self, k: int) -> GammaEvaluator:
         if k not in self._gamma:
@@ -220,52 +248,91 @@ class StatementChecker:
         return self._gamma[k]
 
     def lift(self, a: Fraction, k: int) -> int | None:
-        """a mod p^k, in [0, p^k), computed once per (k, a); None when p divides a's denominator."""
-        num, den = a.numerator, a.denominator  # properties: read once
-        key = (k, num, den)  # hashes far faster than a Fraction
-        x = self._lifts.get(key, -1)  # -1: not lifted yet
-        if x == -1:
-            x = self._lifts[key] = _lift(num, den, self.p, self.p**k)
-        return x
+        """a mod p^k, in [0, p^k); None when p divides a's denominator."""
+        return _lift(a.numerator, a.denominator, self.p, self.p**k)
 
-    def series(self, kernel, a: Fraction, k: int) -> int:
-        """kernel(a, context mod p^k, lift of a).value for a series kernel, evaluated once per (kernel, k, a)."""
-        num, den = a.numerator, a.denominator
-        key = (kernel, k, num, den)  # not the lift: -1/6 and 4 agree mod 25
-        value = self._series.get(key)
-        if value is None:  # a check lifted a first; without a lift the kernel reduces a itself
-            value = self._series[key] = kernel(a, self.gamma(k).ctx, self._lifts.get((k, num, den))).value
-        return value
+    def lifts(self, k: int) -> list[int | None]:
+        """The lift of each parameter of the column mod p^k, computed once per k."""
+        if k not in self._lifts:
+            self._lifts[k] = [self.lift(a, k) for a in self.params]
+        return self._lifts[k]
+
+    def series(self, kernel, at: list[int], k: int) -> list[int]:
+        """kernel(a, context mod p^k, lift of a).value, for a series kernel, at the column's
+        positions ``at``: evaluated once per (kernel, k, position)."""
+        values = self._series.get((kernel, k))
+        if values is None:
+            values = self._series[kernel, k] = [None] * len(self.params)
+        params, xs, ctx = self.params, self.lifts(k), self.gamma(k).ctx
+        for i in at:
+            if values[i] is None:
+                values[i] = kernel(params[i], ctx, xs[i]).value
+        return [values[i] for i in at]
+
+    def _entry(self, a: RationalLike) -> tuple[StatementChecker, int]:
+        """The checker and position that hold a: this one if a is one of its column's objects or
+        equals one, else a checker of one per value."""
+        i = self._where.get(id(a))
+        if i is None:
+            if not isinstance(a, Fraction):  # API callers pass ints
+                a = Fraction(a)
+            if self._values is None:
+                self._values = {b: i for i, b in enumerate(self.params)}
+            i = self._values.get(a)
+        if i is not None:
+            return self, i
+        if a not in self._ones:
+            self._ones[a] = one = StatementChecker(self.p, [a])
+            one._gamma = self._gamma
+        return self._ones[a], 0
+
+    def _evaluate(self, stmt: Statement, k: int) -> list[ReportRecord]:
+        """stmt's records mod p^k at every position of the column."""
+        stmt_id, _, _, parity, takes_param, sides, _ = stmt
+        p = self.p
+        if takes_param:
+            params, lifts, odd = self.params, self.lifts(k), parity == "odd"
+            reasons = ["not a p-adic integer" if x is None else "parity" if parity and x % p % 2 != odd else None
+                       for x in lifts]
+        else:
+            params = lifts = reasons = [None]
+        at = [i for i, reason in enumerate(reasons) if reason is None]
+        checked = iter([
+            ReportRecord(stmt_id, p, k, params[i], lhs, rhs, PASS if lhs == rhs else FAIL)
+            for i, lhs, rhs in zip(at, *sides(self, at, [lifts[i] for i in at], k))
+        ])
+        return [
+            next(checked) if reason is None else ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, reason)
+            for a, reason in zip(params, reasons)
+        ]
 
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:
         """Evaluate one statement, returning a PASS/FAIL/SKIPPED record.
 
         Hypothesis failures (parity, p dividing a denominator) are reported
         as SKIPPED.  ``power`` overrides the catalog modulus power, for
-        exploratory runs only; a power outside 1..3 raises ValueError.
+        exploratory runs only; a power outside 1..3 raises ValueError.  The
+        record is read from the statement's pass over the column that holds
+        a (see the class), made on its first check at that power.
         """
-        _, k, _, parity, takes_param, sides, fixed_power = STATEMENTS[stmt_id]
-        if power is not None:
-            self.gamma(power)  # refuses a power outside 1..3, by ModulusContext's rule
-            if not fixed_power:
-                k = power
-        p = self.p
-        x = None
-        if takes_param:
+        i = self._where.get(id(a))  # one of the column's objects: its record, once the pass is made
+        records = None if i is None else self._records.get((stmt_id, power))
+        if records is None:
+            stmt = STATEMENTS[stmt_id]
+            if power is not None:
+                self.gamma(power)  # refuses a power outside 1..3, by ModulusContext's rule
+            k = stmt.power if power is None or stmt.fixed_power else power
+            if not stmt.takes_param:
+                if a is not None:
+                    raise ValueError(f"statement {stmt_id} takes no parameter")
+                return self._evaluate(stmt, k)[0]  # on a column of None alone, at each check
             if a is None:
                 raise ValueError(f"statement {stmt_id} requires a parameter")
-            if not isinstance(a, Fraction):  # API callers pass ints
-                a = Fraction(a)
-            x = self.lift(a, k)
-            if x is None:
-                return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "not a p-adic integer")
-            if parity is not None and (x % p % 2 == 0) != (parity == "even"):
-                return ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, "parity")
-        elif a is not None:
-            raise ValueError(f"statement {stmt_id} takes no parameter")
-        lhs, rhs = sides(self, a, x, k)
-        verdict = PASS if lhs == rhs else FAIL
-        return ReportRecord(stmt_id, p, k, a, lhs, rhs, verdict)
+            owner, i = self._entry(a)
+            records = owner._records.get((stmt_id, power))
+            if records is None:
+                records = owner._records[stmt_id, power] = owner._evaluate(stmt, k)
+        return records[i]
 
 
 def check_statement(stmt_id: str, p: int, a: RationalLike | None = None) -> ReportRecord:

@@ -61,15 +61,24 @@ class GammaEvaluator:
 
     def gamma_at(self, m: int) -> int:
         """Gamma_p at the non-negative integer m, as an int in [0, modulus)."""
-        modulus = self.ctx.modulus
-        if not 0 <= m < modulus:
-            raise ValueError(f"argument {m} outside [0, {modulus})")
-        q, r = divmod(m, self.ctx.p)
-        a, b, c = self._coeffs[r]
-        qp, qs = m - r, q * self._s
-        # (-1)^q ((p-1)!)^q = 1 - q s + C(q, 2) s^2, and q (q-1) is even
-        prod = (1 - qs + qs * (qs - self._s) // 2) * (a + qp * (b + qp * c)) % modulus
-        return modulus - prod if r & 1 else prod
+        return self.gamma_values([m])[0]
+
+    def gamma_values(self, ms: list[int]) -> list[int]:
+        """Gamma_p at each non-negative integer m of ms, as ints in [0, modulus)."""
+        p, modulus, s, coeffs = self.ctx.p, self.ctx.modulus, self._s, self._coeffs
+        if ms and not (min(ms) >= 0 and max(ms) < modulus):
+            bad = next(m for m in ms if not 0 <= m < modulus)
+            raise ValueError(f"argument {bad} outside [0, {modulus})")
+        out = []
+        for m in ms:
+            q = m // p
+            qp, qs = q * p, q * s
+            r = m - qp
+            a, b, c = coeffs[r]
+            # (-1)^q ((p-1)!)^q = 1 - q s + C(q, 2) s^2, and q (q-1) is even
+            prod = (1 - qs + qs * (qs - s) // 2) * (a + qp * (b + qp * c)) % modulus
+            out.append(modulus - prod if r & 1 else prod)
+        return out
 
     def g1(self, r: int) -> int:
         """G1 = Gamma_p'/Gamma_p mod p at any x = r (mod p): G1(1) + H_{(r-1) mod p}, with

@@ -364,7 +364,7 @@ def test_prime_task_ships_no_record_and_no_fraction():
 )
 def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_id, strict, code):
     # the pool forks after the patch, so every worker's checks see unequal sides
-    broken = STATEMENTS[stmt_id]._replace(sides=lambda *args: (0, 1))
+    broken = STATEMENTS[stmt_id]._replace(sides=lambda chk, at, xs, k: ([0] * len(at), [1] * len(at)))
     monkeypatch.setitem(STATEMENTS, stmt_id, broken)
     out = tmp_path / "report.jsonl"
     argv = ["--statements", stmt_id, "--primes", "5..13", "--jobs", "2", "--out", str(out)]

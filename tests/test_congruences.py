@@ -7,7 +7,7 @@ import pytest
 from supercong import cli, congruences, hyperseries, padic_gamma
 from supercong.padic_core import ModulusContext, NotPAdicInteger, least_residue, reduce_rational, sieve_primes
 from supercong.padic_gamma import g1
-from supercong.hyperseries import series_2f1_half
+from supercong.hyperseries import series_2f1_half, series_3f2_one
 from supercong.congruences import (
     FAIL,
     PASS,
@@ -165,6 +165,65 @@ def test_series_cache_keys_on_the_parameter_not_its_lift(monkeypatch):
     assert checker.lift(Fraction(-1, 6), 2) == 4
     assert calls == {(Fraction(4), 2): 1, (Fraction(-1, 6), 2): 1}
     assert [r.lhs for r in records] == [records[0].lhs] * 4 and records[1].a == Fraction(-1, 6)
+
+
+#: The series each row with a parameter has as its left side.
+LEFT_SERIES = {
+    **dict.fromkeys(("SUN_A2", "THM2_A5", "THM3_A6", "CONJ_S4"), series_3f2_one),
+    **dict.fromkeys(("SUN_A3", "THM1_A4", "TRACE_C9"), series_2f1_half),
+}
+#: The values of tests/test_cli.py's --params file, once each: negative, 2/5 not 5-adic, -1/3 CONJ_S1's.
+FILE_PARAMS = sorted({Fraction(v) for v in ("7", "-1/3", "3", "-5/2", "0", "2/5", "-4", "1/2")})
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 31))
+def test_column_pass_equals_the_one_record_path(monkeypatch, p):
+    # A checker over a column evaluates each statement over all of it in one pass and returns the
+    # record at the parameter's position; a checker without one evaluates each parameter on a
+    # column of one.  Both give the same record for every row, power and parameter, and so does a
+    # parameter passed as an equal Fraction that is not the column's object, or as an int.  The
+    # column calls each kernel once per (k, a), and only where a record that is not SKIPPED reads it.
+    calls = Counter()
+
+    def counting(name):
+        kernel = getattr(congruences, name)
+
+        def counted(a, ctx, *rest):
+            calls[name, ctx.k, a] += 1
+            return kernel(a, ctx, *rest)
+
+        return counted
+
+    oracle = StatementChecker(p)
+    for column in [sorted(default_parameters(p, seed)) for seed in range(3)] + [FILE_PARAMS]:
+        for power in (None, 1, 2, 3):
+            checker = StatementChecker(p, column)
+            with monkeypatch.context() as patch:
+                for name in ("series_2f1_half", "series_3f2_one"):
+                    patch.setattr(congruences, name, counting(name))
+                calls.clear()
+                records = {
+                    (stmt, a): checker.check(stmt, a, power)
+                    for stmt, row in STATEMENTS.items()
+                    for a in (column if row.takes_param else [None])
+                }
+            for (stmt, a), record in records.items():
+                assert record == oracle.check(stmt, a, power) and record.a is a, (stmt, a, power)
+                if a is not None:
+                    assert checker.check(stmt, Fraction(a.numerator, a.denominator), power) == record
+                    if a.denominator == 1:
+                        assert checker.check(stmt, a.numerator, power) == record
+            with pytest.raises(ValueError, match="takes no parameter"):  # a column object is still a parameter
+                checker.check("CONJ_S1", column[0], power)
+            # each left side reads its series at the lift of its own power: the kernel reducing a itself
+            for (stmt, a), record in records.items():
+                kernel = LEFT_SERIES.get(stmt)
+                if kernel is not None and record.verdict != SKIPPED:
+                    assert record.lhs == kernel(a, ModulusContext(p, record.k)).value, (stmt, a, power)
+            # CONJ_S1..S3 read their fixed parameters, which the column holds or not
+            read = {(r.k, r.a) for r in records.values() if r.verdict != SKIPPED}
+            read |= {(r.k, a0) for r in records.values() if r.a is None for a0 in NAMED_RATIONALS[1:]}
+            assert max(calls.values()) == 1 and {(k, a) for _, k, a in calls} <= read
 
 
 def test_each_statement_reads_its_kernels(monkeypatch):
