@@ -5,7 +5,7 @@ Each catalog entry knows its comparison modulus p^k and its hypothesis on
 hypotheses (wrong parity of the least residue, or a parameter that is not a
 p-adic integer at p) yield SKIPPED, never FAIL.  A statement is evaluated
 over a column of parameters at once: a prime's whole parameter set in a scan,
-a column of one for any other parameter.
+which grows by each other parameter the checker is asked about.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ReportRecord:
 
 
 def _gamma_pairs(chk: StatementChecker, xs: list[int], k: int) -> list[int]:
-    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k at each lift x of xs."""
+    """Gamma_p(-a/2) Gamma_p((a+1)/2) mod p^k at each lift x of xs; rows read it through chk.series."""
     ev = chk.gamma(k)
     m = ev.ctx.modulus
     half = (m + 1) // 2  # 2^-1 mod p^k
@@ -107,24 +107,24 @@ def _gamma_pairs(chk: StatementChecker, xs: list[int], k: int) -> list[int]:
 
 
 # Sides of the statements in Z/p^k at the positions `at` of the checker's
-# column, whose lifts xs meet the hypothesis.  Series come from chk.series,
-# once per (kernel, k, position) whichever statements read them; the Gamma
-# side works on the lifts, and r = x mod p.  Each sides function looks the
-# kernels up as module globals when it runs, so that a kernel patched by name
-# (tracing, tests) is the one every statement reads.
+# column, whose lifts xs meet the hypothesis.  Series and Gamma_p pairs come
+# from chk.series, once per (kernel, k, position) whichever rows read them;
+# other Gamma values from the lifts, and r = x mod p.  Each sides function
+# looks the kernels up as module globals when it runs, so that a kernel
+# patched by name (tracing, tests) is the one every statement reads.
 
 
 def _thm1_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # (-1)^((p+1)/2) Gamma_p(1/2) Gamma_p(-a/2) Gamma_p((a+1)/2)
     m = chk.p**k
     c = chk._sign * chk.gamma(k).gamma_at((m + 1) // 2)
-    return chk.series(series_2f1_half, at, k), [c * g % m for g in _gamma_pairs(chk, xs, k)]
+    return chk.series(series_2f1_half, at, k), [c * g % m for g in chk.series(_gamma_pairs, at, k)]
 
 
 def _thm2_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
     # (-1)^((p+1)/2) (Gamma_p(-a/2) Gamma_p((a+1)/2))^2, mod p^2 and, for CONJ_S1..S4, mod p^3
     m, sign = chk.p**k, chk._sign
-    return chk.series(series_3f2_one, at, k), [sign * g * g % m for g in _gamma_pairs(chk, xs, k)]
+    return chk.series(series_3f2_one, at, k), [sign * g * g % m for g in chk.series(_gamma_pairs, at, k)]
 
 
 def _thm3_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int) -> tuple[list, list]:
@@ -176,12 +176,11 @@ def _trace_c15_sides(chk: StatementChecker, at: list[int], xs: list[int], k: int
 def _conj_sides(a0: Fraction, n: int, first: tuple[int, ...], c: Fraction):
     """Sides of CONJ_S1/S2/S3: THM2_A5's at the fixed parameter a0, with the
     right side times -c p^2 when p mod n is not in ``first``: there the sign
-    is the negative of THM2_A5's (-1)^((p+1)/2).  a0 is read where the checker
-    holds it: in a scan's default column, at its own position."""
+    is the negative of THM2_A5's (-1)^((p+1)/2).  a0 is read at its position
+    in the checker's column, which it joins if the column does not hold it."""
 
     def sides(chk: StatementChecker, at: list[int], xs: list, k: int) -> tuple[list, list]:
-        owner, i = chk._entry(a0)
-        lhs, rhs = _thm2_sides(owner, [i], [owner.lifts(k)[i]], k)
+        lhs, rhs = _thm2_sides(chk, [chk.position(a0)], None, k)  # reads its lift through chk.series
         if chk.p % n in first:
             return lhs, rhs
         return lhs, [-chk.lift(c, k) * chk.p**2 * rhs[0] % chk.p**k]
@@ -214,19 +213,19 @@ STATEMENTS: dict[str, Statement] = {
 class StatementChecker:
     """Per-prime verdict engine over a column of parameters.
 
-    ``params``, a scan's sorted parameter set at p, is the checker's column.
-    The first ``check`` of a statement at a power evaluates it over the whole
-    column in one pass: the lifts mod p^k, one list per k that every
-    statement shares; the hypothesis as a mask over them; then the
-    statement's sides at the positions that meet it, each series value
-    computed once per (kernel, k, position) whichever statements read it,
-    and never at a skipped position.  Every later ``check`` of that statement
-    and power returns the record at the parameter's position, found by
-    identity with the column's object.  Any other parameter is evaluated the
-    same way by a checker of one, kept per value; a statement without a
-    parameter is evaluated at each check, on a column that holds None alone.
-    Gamma evaluators, which carry the contexts, are created per power on
-    first use and shared with the checkers of one.
+    ``params``, a copy of a scan's sorted parameter set at p, is the
+    checker's column; it grows by each other value the checker is asked
+    about (see ``position``).  The first ``check`` of a statement at a power
+    evaluates it over the whole column in one pass: the lifts mod p^k, one
+    list per k that every statement shares; the hypothesis as a mask over
+    them; then the statement's sides at the positions that meet it, each
+    series value computed once per (kernel, k, position) whichever
+    statements read it, and never at a skipped position.  Every later
+    ``check`` of that statement and power returns the record at the
+    parameter's position, after a pass over the positions appended since.
+    A statement without a parameter is evaluated at each check, on a column
+    that holds None alone.  Gamma evaluators, which carry the contexts, are
+    created per power on first use.
     """
 
     def __init__(self, p: int, params: list[Fraction] | None = None):
@@ -237,9 +236,8 @@ class StatementChecker:
         self.params = list(params or ())
         self._where = {id(a): i for i, a in enumerate(self.params)}  # the column's objects, by identity
         self._values: dict[Fraction, int] | None = None  # the column's values, on the first other object
-        self._ones: dict[Fraction, StatementChecker] = {}  # a checker of one per value outside it
         self._lifts: dict[int, list[int | None]] = {}  # k -> the column's lifts
-        self._series: dict[tuple, list[int | None]] = {}  # (kernel, k) -> values at the positions read
+        self._series: dict[tuple, dict[int, int]] = {}  # (kernel or _gamma_pairs, k) -> position -> value
         self._records: dict[tuple, list[ReportRecord]] = {}  # (statement with a parameter, power) -> records
 
     def gamma(self, k: int) -> GammaEvaluator:
@@ -252,26 +250,25 @@ class StatementChecker:
         return _lift(a.numerator, a.denominator, self.p, self.p**k)
 
     def lifts(self, k: int) -> list[int | None]:
-        """The lift of each parameter of the column mod p^k, computed once per k."""
-        if k not in self._lifts:
-            self._lifts[k] = [self.lift(a, k) for a in self.params]
-        return self._lifts[k]
+        """The lift of each parameter of the column mod p^k, computed once per (k, position)."""
+        xs = self._lifts.setdefault(k, [])
+        xs += [self.lift(a, k) for a in self.params[len(xs) :]]
+        return xs
 
     def series(self, kernel, at: list[int], k: int) -> list[int]:
-        """kernel(a, context mod p^k, lift of a).value, for a series kernel, at the column's
-        positions ``at``: evaluated once per (kernel, k, position)."""
-        values = self._series.get((kernel, k))
-        if values is None:
-            values = self._series[kernel, k] = [None] * len(self.params)
+        """kernel(a, context mod p^k, lift of a).value, for a series kernel, or _gamma_pairs at the
+        lifts, at the column's positions ``at``: evaluated once per (kernel, k, position)."""
         params, xs, ctx = self.params, self.lifts(k), self.gamma(k).ctx
-        for i in at:
-            if values[i] is None:
-                values[i] = kernel(params[i], ctx, xs[i]).value
+        values = self._series.setdefault((kernel, k), {})
+        todo = [i for i in at if i not in values]
+        computed = (_gamma_pairs(self, [xs[i] for i in todo], k) if kernel is _gamma_pairs
+                    else [kernel(params[i], ctx, xs[i]).value for i in todo])
+        values.update(zip(todo, computed))
         return [values[i] for i in at]
 
-    def _entry(self, a: RationalLike) -> tuple[StatementChecker, int]:
-        """The checker and position that hold a: this one if a is one of its column's objects or
-        equals one, else a checker of one per value."""
+    def position(self, a: RationalLike) -> int:
+        """a's position in the column: that of a column object, else of an equal value; any other
+        value is appended to the column."""
         i = self._where.get(id(a))
         if i is None:
             if not isinstance(a, Fraction):  # API callers pass ints
@@ -279,31 +276,29 @@ class StatementChecker:
             if self._values is None:
                 self._values = {b: i for i, b in enumerate(self.params)}
             i = self._values.get(a)
-        if i is not None:
-            return self, i
-        if a not in self._ones:
-            self._ones[a] = one = StatementChecker(self.p, [a])
-            one._gamma = self._gamma
-        return self._ones[a], 0
+            if i is None:
+                i = self._values[a] = self._where[id(a)] = len(self.params)
+                self.params.append(a)
+        return i
 
-    def _evaluate(self, stmt: Statement, k: int) -> list[ReportRecord]:
-        """stmt's records mod p^k at every position of the column."""
+    def _evaluate(self, stmt: Statement, k: int, start: int = 0) -> list[ReportRecord]:
+        """stmt's records mod p^k at the positions of the column from ``start`` on."""
         stmt_id, _, _, parity, takes_param, sides, _ = stmt
         p = self.p
         if takes_param:
             params, lifts, odd = self.params, self.lifts(k), parity == "odd"
             reasons = ["not a p-adic integer" if x is None else "parity" if parity and x % p % 2 != odd else None
-                       for x in lifts]
+                       for x in lifts[start:]]
         else:
             params = lifts = reasons = [None]
-        at = [i for i, reason in enumerate(reasons) if reason is None]
+        at = [i for i, reason in enumerate(reasons, start) if reason is None]
         checked = iter([
             ReportRecord(stmt_id, p, k, params[i], lhs, rhs, PASS if lhs == rhs else FAIL)
             for i, lhs, rhs in zip(at, *sides(self, at, [lifts[i] for i in at], k))
         ])
         return [
             next(checked) if reason is None else ReportRecord(stmt_id, p, k, a, None, None, SKIPPED, reason)
-            for a, reason in zip(params, reasons)
+            for a, reason in zip(params[start:], reasons)
         ]
 
     def check(self, stmt_id: str, a: RationalLike | None = None, power: int | None = None) -> ReportRecord:
@@ -312,26 +307,27 @@ class StatementChecker:
         Hypothesis failures (parity, p dividing a denominator) are reported
         as SKIPPED.  ``power`` overrides the catalog modulus power, for
         exploratory runs only; a power outside 1..3 raises ValueError.  The
-        record is read from the statement's pass over the column that holds
-        a (see the class), made on its first check at that power.
+        record is read from the statement's pass over the column (see the
+        class), made on its first check at that power.
         """
-        i = self._where.get(id(a))  # one of the column's objects: its record, once the pass is made
-        records = None if i is None else self._records.get((stmt_id, power))
-        if records is None:
-            stmt = STATEMENTS[stmt_id]
-            if power is not None:
-                self.gamma(power)  # refuses a power outside 1..3, by ModulusContext's rule
-            k = stmt.power if power is None or stmt.fixed_power else power
-            if not stmt.takes_param:
-                if a is not None:
-                    raise ValueError(f"statement {stmt_id} takes no parameter")
-                return self._evaluate(stmt, k)[0]  # on a column of None alone, at each check
-            if a is None:
-                raise ValueError(f"statement {stmt_id} requires a parameter")
-            owner, i = self._entry(a)
-            records = owner._records.get((stmt_id, power))
-            if records is None:
-                records = owner._records[stmt_id, power] = owner._evaluate(stmt, k)
+        try:  # one of the column's objects, once the pass has reached its position
+            return self._records[stmt_id, power][self._where[id(a)]]
+        except (KeyError, IndexError):
+            pass
+        stmt = STATEMENTS[stmt_id]
+        if power is not None:
+            self.gamma(power)  # refuses a power outside 1..3, by ModulusContext's rule
+        k = stmt.power if power is None or stmt.fixed_power else power
+        if not stmt.takes_param:
+            if a is not None:
+                raise ValueError(f"statement {stmt_id} takes no parameter")
+            return self._evaluate(stmt, k)[0]  # on a column of None alone, at each check
+        if a is None:
+            raise ValueError(f"statement {stmt_id} requires a parameter")
+        i = self.position(a)
+        records = self._records.setdefault((stmt_id, power), [])
+        if len(records) <= i:  # the positions appended since the last pass
+            records += self._evaluate(stmt, k, len(records))
         return records[i]
 
 

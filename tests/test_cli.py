@@ -638,17 +638,34 @@ def test_behaviour_gate_report_hash(tmp_path, jobs):
          "24ad2248f7457db6d5af65e6501cc338d96f4de03bf527fb58c21e5856c73db5"),
         (["--statements", "theorems", "--primes", "5..199", "--seed", "7"], "thm7.jsonl", 42224,
          "fe8ec49b560261c1b062be9d07863a31a96eb9d837b62d89273579b9607c5c0e"),
+        (["--statements", "conjectures", "--primes", "1901..1999", "--seed", "0"], "conj-big-p.jsonl", 25764,
+         "f324d1ce2121160640328f2b1bdaede0c01805a5eb93b7eeef6f064f6e45bab5"),
     ],
-    ids=["theorems", "conjectures", "all-csv", "theorems-seed7"],
+    ids=["theorems", "conjectures", "all-csv", "theorems-seed7", "conjectures-big-p"],
 )
 def test_frozen_scan_report_hashes(tmp_path, argv, name, lines, digest):
     # the benchmark's theorem and conjecture scans, a CSV report of the whole catalog,
-    # and the theorem scan at a seed other than 0, which samples other fractions
+    # the theorem scan at a seed other than 0, which samples other fractions,
+    # and the conjectures mod p^3 at large primes
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     report = out.read_bytes()
     assert report.count(b"\n") == lines
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_conjectures_on_a_params_file_without_named_rationals_report_hash(tmp_path, jobs):
+    # the file holds none of CONJ_S1..S3's fixed parameters, so each prime's checker reads them
+    # outside the file's column
+    params = tmp_path / "params.txt"
+    params.write_text("7\n3\n-5/2\n0\n2/5\n-4\n1/2\n")
+    out = tmp_path / "conj.jsonl"
+    argv = ["--statements", "conjectures", "--primes", "5..199", "--seed", "0", "--params", str(params)]
+    assert main(argv + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+    report = out.read_bytes()
+    assert report.count(b"\n") == 440
+    assert hashlib.sha256(report).hexdigest() == "28493600e1dca520e03d302d1bc3607284ed95e7e15926f644a7ed80043066cb"
 
 
 def test_identity_sweep_report_hash(tmp_path):

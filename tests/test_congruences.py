@@ -226,6 +226,77 @@ def test_column_pass_equals_the_one_record_path(monkeypatch, p):
             assert max(calls.values()) == 1 and {(k, a) for _, k, a in calls} <= read
 
 
+@pytest.mark.parametrize("named", [True, False], ids=["default-column", "without-named-rationals"])
+@pytest.mark.parametrize("p", [13, 31])
+def test_other_parameters_join_the_one_column(monkeypatch, p, named):
+    # One checker answers every row at parameters it was not built on, asked in a shuffled order: values
+    # outside the column (a Fraction, an int, copies of the named rationals, 1/p), equal but distinct copies
+    # of column values, and CONJ_S1..S3, whose fixed parameter the column may not hold.  An outside value
+    # joins the column and each statement evaluates only the positions appended since its last pass at that
+    # power; a copy reads its value's position.  No other checker is built, and each kernel runs at most once
+    # per (k, value).
+    import random
+
+    column = [a for a in sorted(default_parameters(p)) if named or a not in NAMED_RATIONALS]
+    n = len(column)
+    outside = [Fraction(-23, 21), -(p + 25), Fraction(1, p)]
+    outside += [Fraction(a.numerator, a.denominator) for a in NAMED_RATIONALS]
+    copies = [Fraction(a.numerator, a.denominator) for a in column[::3]]
+    copies += [a.numerator for a in column[::2] if a.denominator == 1]
+    queries = [
+        (stmt, a, power)
+        for power in (None, 1, 3)
+        for stmt, row in STATEMENTS.items()
+        for a in (column + outside + copies if row.takes_param else [None])
+    ]
+    random.Random(p).shuffle(queries)
+    calls, evaluated, inits, asked = Counter(), Counter(), [], [None]
+    real_init = StatementChecker.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting(name):
+        kernel = getattr(congruences, name)
+
+        def counted(a, ctx, *rest):
+            calls[name, ctx.k, Fraction(a)] += 1
+            return kernel(a, ctx, *rest)
+
+        return counted
+
+    def counting_sides(stmt, sides):
+        def counted(chk, at, xs, k):
+            evaluated.update((stmt, asked[0], i) for i in at)
+            return sides(chk, at, xs, k)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StatementChecker, "__init__", counting_init)
+        for name in ("series_2f1_half", "series_3f2_one"):
+            patch.setattr(congruences, name, counting(name))
+        for stmt, row in STATEMENTS.items():
+            if row.takes_param:  # a row without one is evaluated at each check
+                patch.setitem(STATEMENTS, stmt, row._replace(sides=counting_sides(stmt, row.sides)))
+        checker = StatementChecker(p, column)
+        records = []
+        for stmt, a, power in queries:
+            asked[0] = power
+            records.append(checker.check(stmt, a, power))
+        with pytest.raises(ValueError, match="takes no parameter"):  # an appended object is still a parameter
+            checker.check("CONJ_S1", checker.params[-1])
+    assert len(inits) == 1
+    assert max(calls.values()) == 1 and max(evaluated.values()) == 1
+    assert len(column) == n and all(a is b for a, b in zip(checker.params, column))
+    assert len(checker.params) == n + len(outside) - (4 if named else 0)
+    for (stmt, a, power), record in zip(queries, records):
+        assert record == StatementChecker(p).check(stmt, a, power), (stmt, a, power)
+        if any(a is b for b in column):
+            assert record.a is a
+
+
 def test_each_statement_reads_its_kernels(monkeypatch):
     # The sides look the kernels up by name when they run; a row holding a
     # kernel object from import time would bypass the patched name, and the
