@@ -2,11 +2,13 @@
 
 The report holds one record per (statement, prime, parameter), in that
 order, as JSON lines (canonical) or CSV.  Each (statement, prime) run of
-records is rendered to report text where it is computed, in a pool worker
-under --jobs N.  Each block is written to a temporary spool file as it
-arrives; only an index of the blocks is sorted, and the report is copied
-out of the spool in that order.  Identical configuration, including the
-seed, produces byte-identical reports regardless of the worker count.
+records is rendered to report text where it is computed: under --jobs N, in
+a worker forked by the scan, which sends its primes' blocks back down a
+pipe (where os.fork does not exist, --jobs N scans serially).  Each block is
+written to a temporary spool file as it arrives; only an index of the blocks
+is sorted, and the report is copied out of the spool in that order.
+Identical configuration, including the seed, produces byte-identical reports
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import marshal
 import os
 import re
 import sys
@@ -48,16 +51,88 @@ class ConfigError(Exception):
     pass
 
 
-def __getattr__(name: str):
-    # ProcessPoolExecutor loads multiprocessing, pickle and socket: it is
-    # imported on first read, which only a scan with --jobs N > 1 makes.
-    # Stored as a module global, it can then be read and patched as before.
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
+class ProcessPoolExecutor:
+    """The worker pool of --jobs N, started by os.fork.  Worker i of n runs
+    tasks i, i + n, ... and sends each result down its own pipe, marshalled
+    (str, int, tuple, list and dict: no record, no Fraction) and framed by its
+    length.  map reads the pipes round-robin and yields the results in task
+    order, so the parent holds one result at a time; a worker's exception, or
+    its end before its last result, is raised in the parent as a RuntimeError.
+    Leaving the with-block closes the pipes, which ends a worker blocked on a
+    full one, and then reaps every worker."""
 
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
+    def __init__(self, max_workers: int, initializer, initargs: tuple):
+        self._max_workers, self._initializer, self._initargs = max_workers, initializer, initargs
+        self._pipes: list = []  # the read end of each worker's pipe
+        self._pids: list = []  # each worker's pid, None once reaped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pipe in self._pipes:
+            pipe.close()
+        for pid in self._pids:
+            if pid is not None:
+                os.waitpid(pid, 0)
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        n = min(self._max_workers, len(tasks))
+        for i in range(n):
+            read_end, write_end = os.pipe()
+            self._pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    self._work(fn, tasks[i::n], write_end)
+                self._pids.append(pid)
+            finally:
+                os.close(write_end)
+        for i in range(len(tasks)):
+            yield self._receive(i % n)
+
+    def _work(self, fn, tasks: list, write_end: int) -> None:
+        """A worker's whole life.  It leaves only through os._exit, whatever
+        happens: it unwinds into none of the parent's code, runs no exit
+        handler and flushes none of the parent's buffers."""
+        status = 1
+        try:
+            for pipe in self._pipes:  # its own read end, and those of the workers before it
+                pipe.close()
+            with open(write_end, "wb") as out:
+
+                def send(value) -> None:
+                    frame = marshal.dumps(value)
+                    out.write(len(frame).to_bytes(8, "little"))
+                    out.write(frame)
+                    out.flush()
+
+                try:
+                    self._initializer(*self._initargs)
+                    for task in tasks:
+                        send((True, fn(task)))
+                    status = 0
+                except Exception:
+                    import traceback
+
+                    send((False, traceback.format_exc()))
+        finally:
+            os._exit(status)
+
+    def _receive(self, i: int):
+        """Worker i's next result, or its exception or early end raised."""
+        pipe = self._pipes[i]
+        size = int.from_bytes(pipe.read(8), "little")
+        frame = pipe.read(size)
+        if not size or len(frame) < size:  # the pipe ended: the worker did
+            pid, self._pids[i] = self._pids[i], None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(f"pool worker {pid} ended with exit code {code} before sending all its results")
+        ok, value = marshal.loads(frame)
+        if not ok:
+            raise RuntimeError(f"pool worker {self._pids[i]} failed:\n{value}")
+        return value
 
 
 class ScanConfig(
@@ -225,7 +300,7 @@ def _render(
 
 def _scan_prime(task: tuple) -> list[tuple]:
     """The report blocks of one prime, one per statement: plain strings and
-    dicts, so that a pool worker ships no record and no Fraction."""
+    dicts, which a pool worker marshals, with no record and no Fraction."""
     p, stmt_ids, file_params, seed, power, fmt = task
     params = a_texts = None
     if any(STATEMENTS[stmt_id].takes_param for stmt_id in stmt_ids):
@@ -293,14 +368,13 @@ def collect_records(config: ScanConfig, spool) -> list[tuple]:
             (p, tuple(config.statements), config.file_params, config.seed, config.power, config.fmt)
             for p in reversed(primes)
         ]
-        if config.jobs > 1 and len(tasks) > 1:
+        if config.jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
             import signal
 
-            # Under fork the pool starts every worker up front: no more than there are tasks.  Workers ignore
-            # the Ctrl-C a terminal sends them too: a worker stopped mid-task can hang the pool's shutdown.
-            pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-            with pool_class(max_workers=min(config.jobs, len(tasks)), initializer=signal.signal,
-                            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            # The pool starts every worker up front: no more than there are tasks.  Workers ignore the
+            # Ctrl-C a terminal sends them too: the parent stops the scan, and they end after their prime.
+            with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks)), initializer=signal.signal,
+                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 for batch in pool.map(_scan_prime, tasks):
                     spool_blocks(batch)
         else:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import marshal
 import os
 import pickle
 import signal
@@ -350,9 +351,9 @@ def test_report_equals_slow_path_oracle(tmp_path, selection, primes, extra):
 
 
 def test_prime_task_ships_no_record_and_no_fraction():
-    # a pool worker's result is pickled: report text and verdict counts only
+    # a pool worker's result is marshalled, which refuses a record or a Fraction: report text and verdict counts only
     blocks = cli._scan_prime((31, tuple(STATEMENTS), None, 0, None, "jsonl"))
-    payload = pickle.dumps(blocks)
+    payload = marshal.dumps(blocks)
     assert b"ReportRecord" not in payload and b"fractions" not in payload
     # eight theorems and CONJ_S4 over 31 + 24 parameters, CONJ_S1..S3 once each
     assert sum(sum(counts.values()) for _, _, counts in blocks) == 9 * (31 + 24) + 3
@@ -371,6 +372,83 @@ def test_failures_in_pool_workers_set_the_exit_code(tmp_path, monkeypatch, stmt_
     assert main(argv + (["--strict"] if strict else [])) == code
     verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
     assert FAIL in verdicts and PASS not in verdicts
+
+
+@pytest.fixture
+def alarm():
+    """A test that hangs fails after 60 s: SIGALRM raises in the test's process (not in a worker: a fork
+    inherits no pending alarm)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)  # 0 while a child runs, its pid if one ended unreaped
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("death, error", [("raise", "ValueError: no verdict at 13"), ("kill", "exit code -9")])
+def test_a_pool_worker_that_fails_mid_scan_ends_the_scan(tmp_path, monkeypatch, alarm, death, error):
+    # the pool forks after the patch: one worker raises, or is killed, at p = 13 while the other scans on
+    scan_prime = cli._scan_prime
+
+    def failing(task):
+        if task[0] == 13:
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("no verdict at 13")
+        return scan_prime(task)
+
+    monkeypatch.setattr(cli, "_scan_prime", failing)
+    argv = ["--statements", "theorems", "--primes", "5..31", "--jobs", "2", "--out", str(tmp_path / "r.jsonl")]
+    with pytest.raises(RuntimeError, match=error):
+        main(argv)
+    assert _no_child_left()
+
+
+def test_pool_workers_ignore_ctrl_c(tmp_path, monkeypatch, alarm):
+    # a Ctrl-C that reaches a worker alone neither stops it nor changes the report (a terminal's, which reaches
+    # the parent too, is test_ctrl_c_ends_a_scan_with_one_line's)
+    scan_prime = cli._scan_prime
+
+    def interrupted(task):
+        if task[0] == 13:
+            os.kill(os.getpid(), signal.SIGINT)
+        return scan_prime(task)
+
+    argv = ["--statements", "theorems", "--primes", "5..31", "--out"]
+    assert main(argv + [str(tmp_path / "serial.jsonl")]) == EXIT_OK
+    monkeypatch.setattr(cli, "_scan_prime", interrupted)
+    assert main(argv + [str(tmp_path / "pool.jsonl"), "--jobs", "2"]) == EXIT_OK
+    assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    assert _no_child_left()
+
+
+def test_a_spool_write_that_fails_mid_scan_leaves_no_worker(alarm):
+    # each prime's blocks outgrow a pipe's 64 KiB: the workers are blocked on full pipes when the spool fails
+    class FullSpool(io.BytesIO):
+        def write(self, data):
+            if self.tell():
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    theorems = [s.id for s in STATEMENTS.values() if s.kind != CONJECTURE]  # about 190 kB a prime here
+    config = ScanConfig(lo=150, hi=199, statements=theorems, run_identities=False, jobs=2)
+    with pytest.raises(OSError, match="No space left"):
+        collect_records(config, FullSpool())
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -883,35 +961,37 @@ def test_cli_import_leaves_sympy_out():
 
 
 def test_cli_import_loads_only_what_a_scan_runs():
-    # -S: no site module, which may preload typing; the pool is imported on
-    # first read of cli.ProcessPoolExecutor, that is by --jobs N > 1 only, and
-    # identities by a scan that runs the identity sweep
+    # -S: no site module, which may preload typing; the pool of --jobs N forks
+    # its workers itself, so no scan loads multiprocessing or concurrent.futures,
+    # and identities is loaded by a scan that runs the identity sweep only
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = """if True:
         import json, os, sys
         import supercong.cli as cli
-        names = ["dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures.process", "csv",
+        names = ["dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures", "csv",
                  "supercong.identities"]
         loaded = [name for name in names if name in sys.modules]
         cli.main(["--statements", "THM1_A4", "--primes", "5..7", "--out", os.devnull])
         after_scan = "supercong.identities" in sys.modules
         cli.main(["--statements", "identities", "--n-max", "2", "--out", os.devnull])
         after_sweep = "supercong.identities" in sys.modules
-        import concurrent.futures
+        cli.main(["--statements", "THM1_A4", "--primes", "5..13", "--jobs", "2", "--out", os.devnull])
+        pools = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
         try:
             cli.no_such_name
             unknown = "no error"
         except AttributeError as exc:
             unknown = str(exc)
-        same_pool = cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
-        print(json.dumps([loaded, after_scan, after_sweep, same_pool, unknown]))
+        print(json.dumps([loaded, after_scan, after_sweep, pools, unknown]))
     """
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, after_scan, after_sweep, same_pool, unknown = json.loads(out.stdout.splitlines()[-1])  # after summaries
+    results = [line for line in out.stdout.splitlines() if line.startswith("[")]  # after summaries
+    assert len(results) == 1  # a pool worker never returns into its parent's code
+    loaded, after_scan, after_sweep, pools, unknown = json.loads(results[0])
     assert loaded == []
     assert (after_scan, after_sweep) == (False, True)
-    assert same_pool is True
+    assert pools == []
     assert unknown == "module 'supercong.cli' has no attribute 'no_such_name'"
 
 
