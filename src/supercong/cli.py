@@ -2,13 +2,12 @@
 
 The report holds one record per (statement, prime, parameter), in that
 order, as JSON lines (canonical) or CSV.  Each (statement, prime) run of
-records is rendered to report text where it is computed: under --jobs N, in
-a worker forked by the scan, which sends its primes' blocks back down a
-pipe (where os.fork does not exist, --jobs N scans serially).  Each block is
-written to a temporary spool file as it arrives; only an index of the blocks
-is sorted, and the report is copied out of the spool in that order.
-Identical configuration, including the seed, produces byte-identical reports
-regardless of the worker count.
+records is rendered to report text and written to a temporary spool file
+where it is computed: under --jobs N, in a worker forked by the scan, to a
+spool of its own (where os.fork does not exist, --jobs N scans serially).
+Only an index of the blocks is sorted, and the report is copied out of the
+spools in that order.  Identical configuration, including the seed,
+produces byte-identical reports regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import os
 import re
 import sys
 from collections import Counter, defaultdict, namedtuple
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from fractions import Fraction
 
 from .congruences import (
@@ -52,87 +51,66 @@ class ConfigError(Exception):
 
 
 class ProcessPoolExecutor:
-    """The worker pool of --jobs N, started by os.fork.  Worker i of n runs
-    tasks i, i + n, ... and sends each result down its own pipe, marshalled
-    (str, int, tuple, list and dict: no record, no Fraction) and framed by its
-    length.  map reads the pipes round-robin and yields the results in task
-    order, so the parent holds one result at a time; a worker's exception, or
-    its end before its last result, is raised in the parent as a RuntimeError.
-    Leaving the with-block closes the pipes, which ends a worker blocked on a
-    full one, and then reaps every worker."""
+    """The worker pool of --jobs N, started by os.fork.  map(fn, tasks) runs fn(tasks[i::n], spool) in
+    worker i of n, on a temporary spool file of its own, which then gets the result, marshalled (no
+    record, no Fraction), and its 8-byte length: nothing else passes between the processes.  map waits
+    for the workers in order and yields each one's (spool, result), or raises its exception or early
+    end as a RuntimeError.  Workers ignore SIGINT.  Leaving the with-block kills and reaps every worker
+    not yet reaped, and closes the spools if it raised."""
 
-    def __init__(self, max_workers: int, initializer, initargs: tuple):
-        self._max_workers, self._initializer, self._initargs = max_workers, initializer, initargs
-        self._pipes: list = []  # the read end of each worker's pipe
-        self._pids: list = []  # each worker's pid, None once reaped
+    def __init__(self, max_workers: int):
+        self._max_workers = max_workers
+        self._pids: list = []  # a pid leaves only once waitpid has returned it
+        self._spools: list = []
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc) -> None:
-        for pipe in self._pipes:
-            pipe.close()
+    def __exit__(self, failed, *exc) -> None:
         for pid in self._pids:
-            if pid is not None:
-                os.waitpid(pid, 0)
+            os.kill(pid, 9)  # SIGKILL
+        while self._pids:
+            os.waitpid(self._pids[0], 0)
+            del self._pids[0]
+        for spool in self._spools if failed else ():  # else they pass, with their indexes, to map's caller
+            spool.close()
 
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        n = min(self._max_workers, len(tasks))
-        for i in range(n):
-            read_end, write_end = os.pipe()
-            self._pipes.append(open(read_end, "rb"))
-            try:
-                pid = os.fork()
-                if not pid:
-                    self._work(fn, tasks[i::n], write_end)
-                self._pids.append(pid)
-            finally:
-                os.close(write_end)
-        for i in range(len(tasks)):
-            yield self._receive(i % n)
+    def map(self, fn, tasks: list):
+        import signal
+        import tempfile
 
-    def _work(self, fn, tasks: list, write_end: int) -> None:
-        """A worker's whole life.  It leaves only through os._exit, whatever
-        happens: it unwinds into none of the parent's code, runs no exit
-        handler and flushes none of the parent's buffers."""
-        status = 1
-        try:
-            for pipe in self._pipes:  # its own read end, and those of the workers before it
-                pipe.close()
-            with open(write_end, "wb") as out:
-
-                def send(value) -> None:
-                    frame = marshal.dumps(value)
-                    out.write(len(frame).to_bytes(8, "little"))
-                    out.write(frame)
-                    out.flush()
-
+        n = self._max_workers
+        self._spools = [tempfile.TemporaryFile() for _ in range(n)]
+        for i, spool in enumerate(self._spools):
+            pid = os.fork()
+            if not pid:  # the worker leaves only through os._exit: into none of the parent's code or exit handlers
                 try:
-                    self._initializer(*self._initargs)
-                    for task in tasks:
-                        send((True, fn(task)))
-                    status = 0
-                except Exception:
-                    import traceback
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the parent's to act on
+                    try:
+                        result = True, fn(tasks[i::n], spool)
+                    except Exception:
+                        import traceback
 
-                    send((False, traceback.format_exc()))
-        finally:
-            os._exit(status)
-
-    def _receive(self, i: int):
-        """Worker i's next result, or its exception or early end raised."""
-        pipe = self._pipes[i]
-        size = int.from_bytes(pipe.read(8), "little")
-        frame = pipe.read(size)
-        if not size or len(frame) < size:  # the pipe ended: the worker did
-            pid, self._pids[i] = self._pids[i], None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise RuntimeError(f"pool worker {pid} ended with exit code {code} before sending all its results")
-        ok, value = marshal.loads(frame)
-        if not ok:
-            raise RuntimeError(f"pool worker {self._pids[i]} failed:\n{value}")
-        return value
+                        result = False, traceback.format_exc()
+                    data = marshal.dumps(result)
+                    spool.write(data + len(data).to_bytes(8, "little"))
+                    spool.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            self._pids.append(pid)
+        for spool in self._spools:
+            pid, status = os.waitpid(self._pids[0], 0)
+            del self._pids[0]
+            if status:  # it did not get as far as its result
+                raise RuntimeError(f"pool worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}")
+            spool.seek(-8, os.SEEK_END)
+            size = int.from_bytes(spool.read(8), "little")
+            spool.seek(-8 - size, os.SEEK_END)
+            ok, value = marshal.loads(spool.read(size))
+            if not ok:
+                raise RuntimeError(f"pool worker {pid} failed:\n{value}")
+            yield spool, value
 
 
 class ScanConfig(
@@ -299,8 +277,7 @@ def _render(
 
 
 def _scan_prime(task: tuple) -> list[tuple]:
-    """The report blocks of one prime, one per statement: plain strings and
-    dicts, which a pool worker marshals, with no record and no Fraction."""
+    """The report blocks of one prime, one per statement."""
     p, stmt_ids, file_params, seed, power, fmt = task
     params = a_texts = None
     if any(STATEMENTS[stmt_id].takes_param for stmt_id in stmt_ids):
@@ -350,44 +327,45 @@ def _identity_records(n_max: int, fmt: str) -> list[tuple]:
     return blocks
 
 
+def _spool(blocks, spool) -> list[tuple]:
+    """Write each block's text to the binary spool as it comes; return the blocks' index: each one's key,
+    its (offset, length) in the spool and its verdict counts, in ints, strs, tuples and dicts."""
+    index = []
+    for key, text, counts in blocks:
+        data = text.encode()
+        index.append((key, (spool.tell(), len(data)), counts))
+        spool.write(data)
+    return index
+
+
+def _spool_primes(tasks: list[tuple], spool) -> list[tuple]:
+    """The tasks' primes scanned in turn, their blocks spooled: the serial scan, or one pool worker's share."""
+    return _spool((block for task in tasks for block in _scan_prime(task)), spool)
+
+
 def collect_records(config: ScanConfig, spool) -> list[tuple]:
-    """Write each block's text to the binary spool as it arrives; return the
-    index of the report in report order, by statement, then prime: each
-    block's key, its (offset, length) in the spool and its verdict counts."""
-    index: list[tuple] = []
-
-    def spool_blocks(blocks: list[tuple]) -> None:
-        for key, text, counts in blocks:
-            data = text.encode()
-            index.append((key, (spool.tell(), len(data)), counts))
-            spool.write(data)
-
+    """Scan, spooling each block as it is made: to ``spool``, or under --jobs N to each pool worker's own.
+    Return the report's index in report order, by statement, then prime: each block's key, its (spool,
+    offset, length) and its verdict counts."""
+    parts: list[tuple] = []  # (spool, its index)
     if config.statements:
-        primes = sieve_primes(config.lo, config.hi)
-        tasks = [  # largest, that is costliest, primes first
-            (p, tuple(config.statements), config.file_params, config.seed, config.power, config.fmt)
-            for p in reversed(primes)
-        ]
-        if config.jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-            import signal
-
-            # The pool starts every worker up front: no more than there are tasks.  Workers ignore the
-            # Ctrl-C a terminal sends them too: the parent stops the scan, and they end after their prime.
-            with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks)), initializer=signal.signal,
-                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-                for batch in pool.map(_scan_prime, tasks):
-                    spool_blocks(batch)
+        tasks = [(p, tuple(config.statements), config.file_params, config.seed, config.power, config.fmt)
+                 for p in reversed(sieve_primes(config.lo, config.hi))]  # largest, that is costliest, first
+        jobs = min(config.jobs, len(tasks))  # the pool starts every worker up front: no more than there are tasks
+        if jobs > 1 and hasattr(os, "fork"):
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                parts += pool.map(_spool_primes, tasks)
         else:
-            for task in tasks:
-                spool_blocks(_scan_prime(task))
+            parts.append((spool, _spool_primes(tasks, spool)))
     if config.run_identities:
-        spool_blocks(_identity_records(config.n_max, config.fmt))
+        parts.append((spool, _spool(_identity_records(config.n_max, config.fmt), spool)))
+    index = [(key, (part, *at), counts) for part, entries in parts for key, at, counts in entries]
     index.sort(key=lambda block: block[0])  # each (statement, p) key once
     return index
 
 
-def write_records(blocks: list[tuple], fmt: str, stream, spool) -> None:
-    """Copy the indexed blocks out of the spool to the text stream, in index order: the spool's
+def write_records(blocks: list[tuple], fmt: str, stream) -> None:
+    """Copy the indexed blocks out of their spools to the text stream, in index order: the spools'
     UTF-8 bytes go to the stream's binary buffer, after its text layer is flushed; only a stream
     without one (io.StringIO) gets them decoded."""
     # Write block by block: with the whole report in one write, a reader that
@@ -400,7 +378,7 @@ def write_records(blocks: list[tuple], fmt: str, stream, spool) -> None:
     else:
         stream.flush()
         write = buffer.write
-    for _, (offset, length), _ in blocks:
+    for _, (spool, offset, length), _ in blocks:
         spool.seek(offset)
         write(spool.read(length))
 
@@ -433,9 +411,11 @@ def run_scan(config: ScanConfig) -> int:
     # a path is opened before the scan, as a shell redirection is: one that
     # cannot be written fails at once, not after the whole scan
     report = nullcontext(sys.stdout) if to_stdout else open(config.out, "w", encoding="utf-8", newline="")
-    with report as stream, tempfile.TemporaryFile() as spool:
+    with report as stream, tempfile.TemporaryFile() as spool, ExitStack() as spools:
         blocks = collect_records(config, spool)
-        write_records(blocks, config.fmt, stream, spool)
+        for part in {location[0] for _, location, _ in blocks} - {spool}:  # the pool workers' spools
+            spools.enter_context(part)
+        write_records(blocks, config.fmt, stream)
         stream.flush()  # a closed pipe shows here, not at interpreter exit
     print(summarize(blocks), file=sys.stderr if to_stdout else sys.stdout)
     if not to_stdout:

@@ -51,20 +51,19 @@ from supercong.padic_core import sieve_primes
 COLUMNS = ["statement", "p", "k", "a_num", "a_den", "lhs", "rhs", "verdict", "skip_reason"]
 
 
-def _texts(index: list[tuple], spool: io.BytesIO) -> list[str]:
-    """Each indexed block's text, read back from the spool."""
-    data = spool.getvalue()
-    return [data[offset : offset + length].decode() for _, (offset, length), _ in index]
+def _texts(index: list[tuple]) -> list[str]:
+    """Each indexed block's text, read back from its spool."""
+    return [spool.getvalue()[offset : offset + length].decode() for _, (spool, offset, length), _ in index]
 
 
-def _spooled(blocks: list[tuple]) -> tuple[list[tuple], io.BytesIO]:
-    """Rendered blocks as collect_records leaves them: an index and its spool."""
+def _spooled(blocks: list[tuple]) -> list[tuple]:
+    """Rendered blocks as collect_records leaves them: an index of (spool, offset, length), here of one spool."""
     spool, index = io.BytesIO(), []
     for key, text, counts in blocks:
         data = text.encode()
-        index.append((key, (spool.tell(), len(data)), counts))
+        index.append((key, (spool, spool.tell(), len(data)), counts))
         spool.write(data)
-    return index, spool
+    return index
 
 
 def test_parse_params(tmp_path):
@@ -136,10 +135,9 @@ def test_scan_config_validation():
 def test_repeated_statement_ids_give_one_record_per_point():
     config = ScanConfig(lo=5, hi=5, statements=["SUN_A2", "SUN_A2"], run_identities=False)
     assert config.statements == ["SUN_A2"]
-    spool = io.BytesIO()
-    blocks = collect_records(config, spool)
+    blocks = collect_records(config, io.BytesIO())
     assert [key for key, _, _ in blocks] == [("SUN_A2", 5)]
-    rows = [json.loads(line) for text in _texts(blocks, spool) for line in text.splitlines()]
+    rows = [json.loads(line) for text in _texts(blocks) for line in text.splitlines()]
     assert len(rows) == len({(r["statement"], r["p"], r["a_num"], r["a_den"]) for r in rows}) == 29
 
 
@@ -149,8 +147,7 @@ def test_repeated_parameters_give_one_record_per_point():
     assert repeated.file_params == [1, 3]
     texts = []
     for config in (repeated, ScanConfig(5, 7, ["SUN_A2"], False, file_params=[1, 3])):
-        spool = io.BytesIO()
-        texts.append(_texts(collect_records(config, spool), spool))
+        texts.append(_texts(collect_records(config, io.BytesIO())))
     assert texts[0] == texts[1]
     rows = [json.loads(line) for text in texts[0] for line in text.splitlines()]
     assert [(r["p"], r["a_num"], r["a_den"]) for r in rows] == [(p, a, 1) for p in (5, 7) for a in (1, 3)]
@@ -205,10 +202,10 @@ def test_pool_workers_bounded_by_prime_tasks(tmp_path, monkeypatch, jobs, worker
     # a fork pool starts all max_workers at once: one task per prime caps it
     sizes = []
 
-    class InlinePool:  # records max_workers, runs the tasks in this process
-        def __init__(self, max_workers, initializer, initargs):
+    class InlinePool:  # records max_workers, runs each worker's share of the tasks in this process
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            assert (initializer, initargs) == (signal.signal, (signal.SIGINT, signal.SIG_IGN))
+            self.n = max_workers
 
         def __enter__(self):
             return self
@@ -217,7 +214,8 @@ def test_pool_workers_bounded_by_prime_tasks(tmp_path, monkeypatch, jobs, worker
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            spools = [io.BytesIO() for _ in range(self.n)]
+            return [(spool, fn(tasks[i :: self.n], spool)) for i, spool in enumerate(spools)]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     argv = ["--primes", "5..13", "--statements", "CONJ_S1,SUN_A2"]
@@ -265,9 +263,8 @@ def test_jsonl_lines_equal_json_dumps_of_each_record():
     ]
     assert {r.skip_reason for r in records if r.verdict == SKIPPED} == {"parity", "not a p-adic integer"}
     singles = [cli._render([r], "jsonl") for r in records]
-    index, spool = _spooled(singles)
     stream = io.StringIO()
-    write_records(index, "jsonl", stream, spool)
+    write_records(_spooled(singles), "jsonl", stream)
     assert stream.getvalue() == "".join(json.dumps(r.to_dict()) + "\n" for r in records)
     assert [key for key, _, _ in singles[-3:]] == [("THM2_A5", 5), ("RECURRENCES", 0), ("B8", 0)]
     # one (statement, p) run: the line head is rendered once, verdicts and skip reasons per line
@@ -351,12 +348,17 @@ def test_report_equals_slow_path_oracle(tmp_path, selection, primes, extra):
 
 
 def test_prime_task_ships_no_record_and_no_fraction():
-    # a pool worker's result is marshalled, which refuses a record or a Fraction: report text and verdict counts only
-    blocks = cli._scan_prime((31, tuple(STATEMENTS), None, 0, None, "jsonl"))
-    payload = marshal.dumps(blocks)
-    assert b"ReportRecord" not in payload and b"fractions" not in payload
+    # a pool worker sends back its index, marshalled, which refuses a record or a Fraction: each block's
+    # key, place in the worker's spool and verdict counts, and no report text
+    spool = io.BytesIO()
+    index = cli._spool_primes([(31, tuple(STATEMENTS), None, 0, None, "jsonl")], spool)
+    payload = marshal.dumps(index)
+    assert b"ReportRecord" not in payload and b"fractions" not in payload and b'"statement"' not in payload
     # eight theorems and CONJ_S4 over 31 + 24 parameters, CONJ_S1..S3 once each
-    assert sum(sum(counts.values()) for _, _, counts in blocks) == 9 * (31 + 24) + 3
+    assert sum(sum(counts.values()) for _, _, counts in index) == 9 * (31 + 24) + 3
+    # the blocks lie end to end in the spool, in the order of the index
+    ends = [offset + length for _, (offset, length), _ in index]
+    assert [offset for _, (offset, _), _ in index] == [0] + ends[:-1] and ends[-1] == len(spool.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -436,18 +438,24 @@ def test_pool_workers_ignore_ctrl_c(tmp_path, monkeypatch, alarm):
     assert _no_child_left()
 
 
-def test_a_spool_write_that_fails_mid_scan_leaves_no_worker(alarm):
-    # each prime's blocks outgrow a pipe's 64 KiB: the workers are blocked on full pipes when the spool fails
-    class FullSpool(io.BytesIO):
-        def write(self, data):
-            if self.tell():
-                raise OSError(28, "No space left on device")
-            return super().write(data)
+def test_a_worker_that_raises_ends_the_scan_while_the_other_sleeps(monkeypatch, alarm):
+    # the pool forks after the patch: worker 0 raises at its first prime, p = 31, while worker 1 sleeps 20 s at
+    # its first, p = 29; the scan ends at once, and the sleeping worker is killed and reaped, not waited for
+    scan_prime = cli._scan_prime
 
-    theorems = [s.id for s in STATEMENTS.values() if s.kind != CONJECTURE]  # about 190 kB a prime here
-    config = ScanConfig(lo=150, hi=199, statements=theorems, run_identities=False, jobs=2)
-    with pytest.raises(OSError, match="No space left"):
-        collect_records(config, FullSpool())
+    def failing(task):
+        if task[0] == 31:
+            raise ValueError("no verdict at 31")
+        if task[0] == 29:
+            time.sleep(20)
+        return scan_prime(task)
+
+    monkeypatch.setattr(cli, "_scan_prime", failing)
+    config = ScanConfig(lo=5, hi=31, statements=["THM1_A4"], run_identities=False, jobs=2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="ValueError: no verdict at 31"):
+        collect_records(config, io.BytesIO())
+    assert time.monotonic() - start < 10
     assert _no_child_left()
 
 
@@ -942,10 +950,12 @@ def test_ctrl_c_ends_a_scan_with_one_line(tmp_path, jobs):
         time.sleep(0.5)  # the workers of --jobs 2 are mid-task by then
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):  # no process of the scan's group outlives it: no worker either
+            os.killpg(proc.pid, 0)
     finally:
-        if proc.poll() is None:
+        with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        proc.wait()
     assert (proc.returncode, err) == (EXIT_INTERRUPT, b"error: interrupted\n")
     assert list(spool_dir.iterdir()) == []
 
@@ -1018,10 +1028,9 @@ def test_power_override_keeps_theorem_exit_status(tmp_path):
 
 def test_summary_counts():
     config = ScanConfig(lo=5, hi=7, statements=["SUN_A2"], run_identities=False)
-    spool = io.BytesIO()
-    blocks = collect_records(config, spool)
+    blocks = collect_records(config, io.BytesIO())
     assert [key for key, _, _ in blocks] == [("SUN_A2", 5), ("SUN_A2", 7)]
-    rows = [json.loads(line) for text in _texts(blocks, spool) for line in text.splitlines()]
+    rows = [json.loads(line) for text in _texts(blocks) for line in text.splitlines()]
     n = {v: sum(r["verdict"] == v for r in rows) for v in ("PASS", "FAIL", "SKIPPED")}
     assert n["PASS"] and n["SKIPPED"] and len(rows) == sum(n.values())
     row = f"{n['PASS']:>7} {n['FAIL']:>7} {n['SKIPPED']:>8}"

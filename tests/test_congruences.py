@@ -179,10 +179,11 @@ FILE_PARAMS = sorted({Fraction(v) for v in ("7", "-1/3", "3", "-5/2", "0", "2/5"
 @pytest.mark.parametrize("p", sieve_primes(5, 31))
 def test_column_pass_equals_the_one_record_path(monkeypatch, p):
     # A checker over a column evaluates each statement over all of it in one pass and returns the
-    # record at the parameter's position; a checker without one evaluates each parameter on a
-    # column of one.  Both give the same record for every row, power and parameter, and so does a
-    # parameter passed as an equal Fraction that is not the column's object, or as an int.  The
-    # column calls each kernel once per (k, a), and only where a record that is not SKIPPED reads it.
+    # record at the parameter's position; a checker without one appends each parameter it is asked
+    # about to a column of its own and evaluates it there.  Both give the same record for every row,
+    # power and parameter, and so does a parameter passed as an equal Fraction that is not the
+    # column's object, or as an int.  The column calls each kernel once per (k, a), and only where a
+    # record that is not SKIPPED reads it.
     calls = Counter()
 
     def counting(name):
